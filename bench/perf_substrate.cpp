@@ -14,15 +14,11 @@
 
 #include <cstdint>
 
-#include "core/plan_cache.hpp"
-#include "core/segcopy.hpp"
 #include "harness/sweep.hpp"
-#include "simbase/bufpool.hpp"
 
 namespace {
 
 namespace coll = tpio::coll;
-namespace sim = tpio::sim;
 namespace wl = tpio::wl;
 namespace xp = tpio::xp;
 
@@ -86,31 +82,6 @@ void BM_CollectiveWriteVerified(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_CollectiveWriteVerified)->Arg(16)->Arg(64)->Unit(
-    benchmark::kMillisecond);
-
-// Substrate-optimization ablation: the same run with the three host-side
-// optimizations forced off (fresh allocations, per-segment copies, a plan
-// rebuilt from scratch every run). Compare against the matching
-// BM_CollectiveWrite row to see what the machinery is worth.
-void BM_CollectiveWriteLegacy(benchmark::State& state) {
-  const int nprocs = static_cast<int>(state.range(0));
-  xp::RunSpec spec = make_spec(nprocs, 1ull << 20,
-                               coll::OverlapMode::WriteComm2, /*verify=*/false);
-  sim::BufferPool::set_recycling(false);
-  coll::segcopy::set_coalescing(false);
-  coll::PlanCache::set_enabled(false);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    spec.seed = ++seed;
-    const xp::RunResult r = xp::execute(spec);
-    benchmark::DoNotOptimize(r.makespan);
-  }
-  sim::BufferPool::set_recycling(true);
-  coll::segcopy::set_coalescing(true);
-  coll::PlanCache::set_enabled(true);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_CollectiveWriteLegacy)->Arg(16)->Arg(64)->Unit(
     benchmark::kMillisecond);
 
 // The quick Table I sweep end to end (every workload x process count x

@@ -154,9 +154,7 @@ void Engine::leader_gather(int cycle, int slot) {
     } else {
       std::uint64_t total = 0;
       for (const Segment& g : pieces) total += g.length;
-      const segcopy::LocalRun run = segcopy::coalescing()
-                                        ? segcopy::local_run(pieces)
-                                        : segcopy::LocalRun{};
+      const segcopy::LocalRun run = segcopy::local_run(pieces);
       if (run.ok) {
         // Every piece lines up contiguously in the user buffer: the packed
         // message is a slice of it, so send in place (zero-copy).
@@ -432,9 +430,7 @@ void Engine::shuffle_init(int cycle, int slot) {
       } else {
         std::uint64_t total = 0;
         for (const Segment& g : segs) total += g.length;
-        const segcopy::LocalRun run = segcopy::coalescing()
-                                          ? segcopy::local_run(segs)
-                                          : segcopy::LocalRun{};
+        const segcopy::LocalRun run = segcopy::local_run(segs);
         if (run.ok) {
           // The packed message is byte-for-byte a slice of the user
           // buffer; it stays untouched until this slot's shuffle_wait,
@@ -1039,12 +1035,11 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   }
   std::shared_ptr<const Plan> plan;
   {
-    auto delivered = mpi.sparse_allgatherv(view.serialize(), want_b, want_e,
-                                           eff.dense_metadata);
+    auto delivered = mpi.sparse_allgatherv(view.serialize(), want_b, want_e);
     if (static_cast<int>(delivered.size()) == P) {
-      // Every view held (aggregator, or dense_metadata): share one dense
-      // plan per geometry through the memoizing cache, as the legacy
-      // single-stage path did — bit-identical to a fresh construction.
+      // Every view held (an aggregator): share one dense plan per geometry
+      // through the memoizing cache — bit-identical to a fresh
+      // construction.
       std::vector<std::vector<std::byte>> blobs;
       blobs.reserve(delivered.size());
       for (auto& [r, b] : delivered) blobs.push_back(std::move(b));

@@ -112,7 +112,8 @@ class PlanSkeleton {
 /// held and fail loudly otherwise. Owns no payload.
 class Plan {
  public:
-  /// Legacy dense construction: `views[r]` is rank r's file view. Builds
+  /// Dense construction (aggregators, which hold every view): `views[r]` is
+  /// rank r's file view. Builds
   /// the skeleton from the views' own summaries — bit-identical geometry
   /// to the two-stage path by construction — and holds every view.
   Plan(std::vector<FileView> views, const net::Topology& topo,

@@ -10,7 +10,6 @@ namespace tpio::coll {
 
 namespace {
 
-std::atomic<bool> g_enabled{true};
 std::atomic<std::uint64_t> g_lookups{0};
 std::atomic<std::uint64_t> g_hits{0};
 
@@ -100,9 +99,6 @@ std::shared_ptr<const Plan> build(
 std::shared_ptr<const Plan> PlanCache::get_or_build(
     const std::vector<std::vector<std::byte>>& view_blobs,
     const net::Topology& topo, std::uint64_t stripe_size, const Options& opt) {
-  if (!g_enabled.load(std::memory_order_relaxed)) {
-    return build(view_blobs, topo, stripe_size, opt);
-  }
   g_lookups.fetch_add(1, std::memory_order_relaxed);
   std::string key = make_key(view_blobs, topo, stripe_size, opt);
   CacheState& s = state();
@@ -123,10 +119,6 @@ std::shared_ptr<const Plan> PlanCache::get_or_build(
 std::shared_ptr<const PlanSkeleton> PlanCache::get_or_build_skeleton(
     const std::vector<ViewSummary>& summaries, const net::Topology& topo,
     std::uint64_t stripe_size, const Options& opt) {
-  if (!g_enabled.load(std::memory_order_relaxed)) {
-    return std::make_shared<const PlanSkeleton>(summaries, topo, stripe_size,
-                                                opt);
-  }
   g_lookups.fetch_add(1, std::memory_order_relaxed);
   std::string key = make_skeleton_key(summaries, topo, stripe_size, opt);
   CacheState& s = state();
@@ -159,11 +151,5 @@ void PlanCache::clear() {
   s.plans.clear();
   s.skeletons.clear();
 }
-
-void PlanCache::set_enabled(bool on) {
-  g_enabled.store(on, std::memory_order_relaxed);
-}
-
-bool PlanCache::enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 }  // namespace tpio::coll

@@ -64,11 +64,6 @@ class PlanCache {
 
   /// Drop every cached plan (in-flight shared_ptrs stay valid).
   static void clear();
-
-  /// Test hook: false makes get_or_build construct a fresh Plan every
-  /// call, the legacy behaviour. Thread-safe; default true.
-  static void set_enabled(bool on);
-  static bool enabled();
 };
 
 }  // namespace tpio::coll

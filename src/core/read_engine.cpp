@@ -197,9 +197,7 @@ void ReadEngine::scatter_init(int cycle, int slot) {
     } else {
       std::uint64_t n = 0;
       for (const Segment& g : segs) n += g.length;
-      const segcopy::LocalRun run = segcopy::coalescing()
-                                        ? segcopy::local_run(segs)
-                                        : segcopy::LocalRun{};
+      const segcopy::LocalRun run = segcopy::local_run(segs);
       RecvStage st;
       st.agg = a;
       if (!run.ok) st.buf = sim::BufferPool::local().acquire(n, false);
@@ -231,7 +229,7 @@ void ReadEngine::scatter_init(int cycle, int slot) {
       } else {
         std::uint64_t total = 0;
         for (const Segment& g : segs) total += g.length;
-        bool file_run = segcopy::coalescing();
+        bool file_run = true;
         for (std::size_t i = 1; file_run && i < segs.size(); ++i) {
           file_run = segs[i].file_offset ==
                      segs[i - 1].file_offset + segs[i - 1].length;
@@ -417,8 +415,7 @@ Result collective_read(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   const bool agg = skel->is_aggregator(mpi.rank());
   std::shared_ptr<const Plan> plan;
   {
-    auto delivered = mpi.sparse_allgatherv(
-        view.serialize(), 0, agg ? P : 0, opt.dense_metadata);
+    auto delivered = mpi.sparse_allgatherv(view.serialize(), 0, agg ? P : 0);
     if (static_cast<int>(delivered.size()) == P) {
       std::vector<std::vector<std::byte>> blobs;
       blobs.reserve(delivered.size());

@@ -206,13 +206,6 @@ struct Options {
   /// integrity, i.e. spec.verify). The runner sets this from RunSpec::verify;
   /// it is excluded from autotune workload signatures and plan-cache keys.
   bool materialize = true;
-  /// true makes the metadata exchange materialize every rank's full view on
-  /// every rank (the pre-two-stage behaviour) instead of delivering full
-  /// views only to the ranks that plan over them. Purely a host-memory /
-  /// host-time toggle: the virtual cost of the exchange and every RunResult
-  /// field are bit-identical either way (the differential `metadata` suite
-  /// pins this). Default off; flip on to bisect a suspected delivery bug.
-  bool dense_metadata = false;
 };
 
 /// Where a rank's blocked time went, in virtual nanoseconds. Mirrors the

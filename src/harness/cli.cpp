@@ -165,9 +165,6 @@ std::string cli_usage() {
       "                                     node; N > 1 pipelines each\n"
       "                                     lane's gather against its\n"
       "                                     forwards (default 1)\n"
-      "  --dense-metadata                   materialize every rank's view on\n"
-      "                                     every rank (legacy exchange; same\n"
-      "                                     virtual cost, more host memory)\n"
       "  --reps N                           measurements (default 3)\n"
       "  --seed N                           master seed (default 1)\n"
       "  --verify                           check file contents\n"
@@ -179,7 +176,6 @@ std::string cli_usage() {
       "  --straggler-after MS               virtual onset of the slowdown\n"
       "  --max-retries N                    retry budget per op (default 4)\n"
       "  --degrade F                        degraded-mode trigger ratio\n"
-      "  --conductor fibers|threads         rank substrate (default fibers)\n"
       "  --tenants N                        run N copies on one shared PFS;\n"
       "                                     tenant 0 is measured, the rest\n"
       "                                     are NoOverlap background writers\n"
@@ -289,8 +285,6 @@ CliConfig parse_cli(const std::vector<std::string>& args) {
         cfg.spec.options.tuning_cache = args[++i];
       } else if (a == "--hierarchical") {
         cfg.spec.options.hierarchical = true;
-      } else if (a == "--dense-metadata") {
-        cfg.spec.options.dense_metadata = true;
       } else if (a == "--leader") {
         if (!need_value(i)) return cfg;
         if (!parse_leader(args[++i], cfg.spec.options.leader_policy)) {
@@ -343,16 +337,6 @@ CliConfig parse_cli(const std::vector<std::string>& args) {
         if (!need_value(i)) return cfg;
         cfg.spec.options.degrade_slowdown =
             double_flag(a, args[++i], 0.0, 1e6);
-      } else if (a == "--conductor") {
-        if (!need_value(i)) return cfg;
-        const std::string v = args[++i];
-        if (v == "fibers") {
-          cfg.conductor = sim::ConductorBackend::Fibers;
-        } else if (v == "threads") {
-          cfg.conductor = sim::ConductorBackend::Threads;
-        } else {
-          cfg.error = "--conductor wants fibers|threads, got '" + v + "'";
-        }
       } else if (a == "--tenants") {
         if (!need_value(i)) return cfg;
         cfg.tenants = static_cast<int>(int_flag(a, args[++i], 1, 64));

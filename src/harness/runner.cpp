@@ -144,7 +144,7 @@ int auto_sub_comm_count(const RunSpec& spec) {
   // first candidate that fails the improvement floor, so the common
   // shared-file answer costs two probes. Probes are virtual-time runs of
   // the spec itself (same seed), so the decision is a pure function of
-  // the spec — deterministic across workers and conductor backends.
+  // the spec — deterministic across workers and repeated runs.
   std::vector<double> probe_ms;
   for (const int k : coll::sub_comm_candidates(topo, num_targets)) {
     if (k > spec.nprocs) break;

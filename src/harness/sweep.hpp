@@ -136,7 +136,7 @@ struct ContentionConfig {
 /// tenant's* minimum turnaround (completion - arrival) across reps. Same
 /// executor guarantees as run_overlap_sweep: the grid is planned up front
 /// with per-job derived seeds, so tables are bit-identical at any
-/// exec.jobs and on either conductor backend. Checkpoints are namespaced
+/// exec.jobs. Checkpoints are namespaced
 /// by the tenancy configuration (tenancy_tag) on top of the usual
 /// manifest, so contended results can never splice into idle-system ones.
 std::vector<OverlapSeries> run_contended_sweep(const Platform& platform,

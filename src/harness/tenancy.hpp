@@ -77,8 +77,8 @@ struct MultiRunResult {
 };
 
 /// Run every tenant concurrently on the shared system. Deterministic:
-/// bit-identical at any executor worker count and on either conductor
-/// backend. With `with_baselines`, each tenant's spec is also executed
+/// bit-identical at any executor worker count and across repeated runs.
+/// With `with_baselines`, each tenant's spec is also executed
 /// solo (same seed) to fill TenantResult::slowdown.
 MultiRunResult execute_multi(const MultiRunSpec& spec);
 MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines);

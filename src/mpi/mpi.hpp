@@ -157,13 +157,10 @@ class Mpi {
   /// Targeted metadata delivery (sparse allgatherv): every rank contributes
   /// `mine` and names the half-open source interval [want_begin, want_end)
   /// whose blobs it needs. Returns (source rank, blob) pairs ascending by
-  /// rank — always including this rank's own blob. With `dense` every
-  /// rank materializes all P blobs instead; the virtual cost is identical
-  /// either way, because it derives from the want topology all ranks
-  /// declared, never from the host-side materialization switch.
+  /// rank — always including this rank's own blob. The virtual cost derives
+  /// from the want topology all ranks declared.
   std::vector<std::pair<int, std::vector<std::byte>>> sparse_allgatherv(
-      std::span<const std::byte> mine, int want_begin, int want_end,
-      bool dense = false);
+      std::span<const std::byte> mine, int want_begin, int want_end);
 
   enum class ReduceOp { Max, Min, Sum };
   /// Reduce-scatter over one element per rank: every rank contributes

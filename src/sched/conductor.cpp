@@ -1,60 +1,15 @@
 #include "sched/conductor.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <thread>
 
 #include "simbase/bufpool.hpp"
 #include "simbase/error.hpp"
 
 namespace tpio::sim {
 
-const char* to_string(ConductorBackend b) {
-  return b == ConductorBackend::Fibers ? "fibers" : "threads";
-}
+Conductor::Conductor(int nranks) : Conductor(std::vector<int>{nranks}) {}
 
-namespace {
-// Process-wide default backend; -1 = not yet resolved from the
-// environment. Resolved once, overridable via set_default_backend.
-std::atomic<int> g_default_backend{-1};
-}  // namespace
-
-ConductorBackend Conductor::default_backend() {
-  int b = g_default_backend.load(std::memory_order_relaxed);
-  if (b < 0) {
-    ConductorBackend resolved = ConductorBackend::Fibers;
-    if (const char* e = std::getenv("TPIO_CONDUCTOR")) {
-      const std::string v(e);
-      if (v == "threads" || v == "thread") {
-        resolved = ConductorBackend::Threads;
-      } else {
-        TPIO_CHECK(v == "fibers" || v == "fiber" || v.empty(),
-                   "TPIO_CONDUCTOR must be 'fibers' or 'threads' (got '" + v +
-                       "')");
-      }
-    }
-    b = static_cast<int>(resolved);
-    g_default_backend.store(b, std::memory_order_relaxed);
-  }
-  return static_cast<ConductorBackend>(b);
-}
-
-void Conductor::set_default_backend(ConductorBackend b) {
-  g_default_backend.store(static_cast<int>(b), std::memory_order_relaxed);
-}
-
-Conductor::Conductor(int nranks) : Conductor(nranks, default_backend()) {}
-
-Conductor::Conductor(int nranks, ConductorBackend backend)
-    : Conductor(std::vector<int>{nranks}, backend) {}
-
-Conductor::Conductor(const std::vector<int>& group_sizes)
-    : Conductor(group_sizes, default_backend()) {}
-
-Conductor::Conductor(const std::vector<int>& group_sizes,
-                     ConductorBackend backend)
-    : backend_(backend) {
+Conductor::Conductor(const std::vector<int>& group_sizes) {
   TPIO_CHECK(!group_sizes.empty(), "conductor needs at least one group");
   int total = 0;
   group_size_.reserve(group_sizes.size());
@@ -123,12 +78,6 @@ void Conductor::update_entry(int rank, Time clock) {
   runnable_.insert({clock, rank});
 }
 
-void Conductor::notify_min() {
-  if (backend_ != ConductorBackend::Threads) return;
-  if (runnable_.empty()) return;
-  states_[static_cast<std::size_t>(runnable_.begin()->second)]->cv.notify_one();
-}
-
 void Conductor::throw_aborted() {
   throw Error("simulation aborted (another rank raised an error)");
 }
@@ -137,56 +86,29 @@ void Conductor::abort_with(std::exception_ptr e) {
   if (!first_error_) first_error_ = std::move(e);
   if (aborted_) return;
   aborted_ = true;
-  if (backend_ == ConductorBackend::Fibers) {
-    // Release every blocked fiber exactly once; the scheduler resumes each
-    // in (clock, rank) order and it unwinds through throw_aborted().
-    for (std::size_t r = 0; r < states_.size(); ++r) {
-      RankState& st = *states_[r];
-      if (st.status != Status::Blocked) continue;
-      st.abort_wakes += 1;
-      TPIO_CHECK(st.abort_wakes == 1, "abort woke a blocked rank twice");
-      st.status = Status::Runnable;
-      st.wake_pending = true;
-      runnable_.insert({st.registered_clock, static_cast<int>(r)});
-    }
-  } else {
-    // Threads observe aborted_ through their own condition variables (the
-    // wake is counted where the blocked thread notices, block_current).
-    for (auto& st : states_) st->cv.notify_all();
+  // Release every blocked fiber exactly once; the scheduler resumes each in
+  // (clock, rank) order and it unwinds through throw_aborted().
+  for (std::size_t r = 0; r < states_.size(); ++r) {
+    RankState& st = *states_[r];
+    if (st.status != Status::Blocked) continue;
+    st.abort_wakes += 1;
+    TPIO_CHECK(st.abort_wakes == 1, "abort woke a blocked rank twice");
+    st.status = Status::Runnable;
+    st.wake_pending = true;
+    runnable_.insert({st.registered_clock, static_cast<int>(r)});
   }
 }
 
 void RankCtx::baton_acquire() {
   Conductor& c = *conductor_;
-  if (c.backend_ == ConductorBackend::Fibers) {
-    if (c.aborted_) c.throw_aborted();
-    c.update_entry(gid_, clock_);
-    while (!c.aborted_ && !c.is_min(gid_)) Fiber::suspend();
-    if (c.aborted_) c.throw_aborted();
-    ++c.actions_;
-    return;
-  }
-  std::unique_lock lk(c.mutex_);
   if (c.aborted_) c.throw_aborted();
-  Conductor::RankState& st = *c.states_[static_cast<std::size_t>(gid_)];
   c.update_entry(gid_, clock_);
-  c.notify_min();
-  st.cv.wait(lk, [&] { return c.aborted_ || c.is_min(gid_); });
+  while (!c.aborted_ && !c.is_min(gid_)) Fiber::suspend();
   if (c.aborted_) c.throw_aborted();
   ++c.actions_;
-  lk.release();  // keep the mutex held for the duration of the action
 }
 
-void RankCtx::baton_release() {
-  Conductor& c = *conductor_;
-  if (c.backend_ == ConductorBackend::Fibers) {
-    c.update_entry(gid_, clock_);
-    return;
-  }
-  c.update_entry(gid_, clock_);
-  c.notify_min();
-  c.mutex_.unlock();
-}
+void RankCtx::baton_release() { conductor_->update_entry(gid_, clock_); }
 
 void RankCtx::complete(Event& ev, Time t) {
   // Caller holds the baton (asserted indirectly: completing without the
@@ -194,51 +116,21 @@ void RankCtx::complete(Event& ev, Time t) {
   Conductor& c = *conductor_;
   TPIO_CHECK(!ev.done_, "event completed twice");
   TPIO_CHECK(t >= clock_, "event completion time precedes the actor's clock");
-  c.complete_locked(*this, ev, t);
-}
-
-void Conductor::complete_locked(RankCtx&, Event& ev, Time t) {
   ev.done_ = true;
   ev.time_ = t;
   for (int w : ev.waiters_) {
-    RankState& st = *states_[static_cast<std::size_t>(w)];
-    TPIO_CHECK(st.status == Status::Blocked, "event waiter not blocked");
-    st.status = Status::Runnable;
+    Conductor::RankState& st = *c.states_[static_cast<std::size_t>(w)];
+    TPIO_CHECK(st.status == Conductor::Status::Blocked,
+               "event waiter not blocked");
+    st.status = Conductor::Status::Runnable;
     st.wake_pending = true;
     st.registered_clock = std::max(st.registered_clock, t);
-    runnable_.insert({st.registered_clock, w});
+    c.runnable_.insert({st.registered_clock, w});
   }
   ev.waiters_.clear();
-  // The new min may be one of the woken ranks; baton_release will notify,
-  // but notify here as well so waiters resume even when the completer goes
-  // on to block without releasing through the normal path.
-  notify_min();
 }
 
-void Conductor::block_current(std::unique_lock<std::mutex>& lk, RankCtx& ctx,
-                              const char* site) {
-  RankState& st = *states_[static_cast<std::size_t>(ctx.gid_)];
-  TPIO_CHECK(st.status == Status::Runnable, "blocking a non-runnable rank");
-  runnable_.erase({st.registered_clock, ctx.gid_});
-  st.status = Status::Blocked;
-  st.wake_pending = false;
-  st.block_site = site;
-  if (!detect_deadlock()) notify_min();
-  st.cv.wait(lk, [&] {
-    return aborted_ || (st.wake_pending && is_min(ctx.gid_));
-  });
-  if (aborted_) {
-    if (st.status == Status::Blocked) {
-      st.abort_wakes += 1;
-      TPIO_CHECK(st.abort_wakes == 1, "abort woke a blocked rank twice");
-    }
-    throw_aborted();
-  }
-  st.wake_pending = false;
-  st.block_site = "";
-}
-
-void Conductor::fiber_block_current(RankCtx& ctx, const char* site) {
+void Conductor::block_current(RankCtx& ctx, const char* site) {
   RankState& st = *states_[static_cast<std::size_t>(ctx.gid_)];
   TPIO_CHECK(st.status == Status::Runnable, "blocking a non-runnable rank");
   runnable_.erase({st.registered_clock, ctx.gid_});
@@ -246,7 +138,7 @@ void Conductor::fiber_block_current(RankCtx& ctx, const char* site) {
   st.wake_pending = false;
   st.block_site = site;
   Fiber::suspend();
-  // Resumed: either our event completed (complete_locked re-queued us and
+  // Resumed: either our event completed (complete() re-queued us and
   // the scheduler picked us as min) or the run aborted.
   if (aborted_) throw_aborted();
   TPIO_CHECK(st.status == Status::Runnable && st.wake_pending,
@@ -257,29 +149,15 @@ void Conductor::fiber_block_current(RankCtx& ctx, const char* site) {
 
 void RankCtx::wait_event(Event& ev, const char* site) {
   Conductor& c = *conductor_;
-  if (c.backend_ == ConductorBackend::Fibers) {
-    if (c.aborted_) c.throw_aborted();
-    if (!ev.done_) {
-      c.update_entry(gid_, clock_);
-      ev.waiters_.push_back(gid_);
-      c.fiber_block_current(*this, site);
-      TPIO_CHECK(ev.done_, "woken from wait_event but event not done");
-    }
-    clock_ = std::max(clock_, ev.time_);
-    c.update_entry(gid_, clock_);
-    return;
-  }
-  std::unique_lock lk(c.mutex_);
   if (c.aborted_) c.throw_aborted();
   if (!ev.done_) {
     c.update_entry(gid_, clock_);
     ev.waiters_.push_back(gid_);
-    c.block_current(lk, *this, site);
+    c.block_current(*this, site);
     TPIO_CHECK(ev.done_, "woken from wait_event but event not done");
   }
   clock_ = std::max(clock_, ev.time_);
   c.update_entry(gid_, clock_);
-  c.notify_min();
 }
 
 void RankCtx::wait_all_events(std::span<const EventPtr> evs,
@@ -299,8 +177,7 @@ bool RankCtx::test_event(Event& ev, Duration poll_cost) {
 
 std::string Conductor::deadlock_message() const {
   // Bounded report: at 8192 ranks an exhaustive listing would build a
-  // megabyte string (under the lock, on the Threads backend); the first
-  // few blockers with their wait sites and registered clocks are what a
+  // megabyte string; the first few blockers with their wait sites and registered clocks are what a
   // human needs to find the cycle.
   constexpr std::size_t kMaxListed = 16;
   std::size_t blocked = 0;
@@ -340,34 +217,6 @@ void Conductor::run(const std::vector<std::function<void(RankCtx&)>>& programs) 
   for (const auto& p : programs) {
     TPIO_CHECK(static_cast<bool>(p), "conductor run: empty program");
   }
-  if (backend_ == ConductorBackend::Fibers) {
-    run_fibers(programs);
-  } else {
-    run_threads(programs);
-  }
-}
-
-void Conductor::fiber_body(int rank, const std::function<void(RankCtx&)>& program) {
-  RankCtx ctx(this, rank);
-  try {
-    program(ctx);
-  } catch (...) {
-    abort_with(std::current_exception());
-  }
-  RankState& st = *states_[static_cast<std::size_t>(rank)];
-  TPIO_CHECK(st.status != Status::Blocked, "rank finished while blocked");
-  if (st.status == Status::Runnable) {
-    runnable_.erase({st.registered_clock, rank});
-  }
-  st.status = Status::Done;
-  st.finish_time = ctx.clock_;
-  --alive_;
-  // A finish can starve blocked ranks of their only waker; the scheduler
-  // loop delivers the deadlock verdict once it sees the empty runnable set.
-}
-
-void Conductor::run_fibers(
-    const std::vector<std::function<void(RankCtx&)>>& programs) {
   const std::size_t stack_bytes = Fiber::default_stack_bytes();
   for (int r = 0; r < size(); ++r) {
     RankState& st = *states_[static_cast<std::size_t>(r)];
@@ -400,50 +249,29 @@ void Conductor::run_fibers(
                "conductor finished with a live fiber");
     st->fiber.reset();
   }
-  // Rank threads used to drain their BufferPool free lists into the
-  // process-wide reservoir when they died; with fibers the host thread
-  // lives on, so enforce its retention cap here instead (run teardown is
-  // the fiber-era analogue of rank-thread death).
+  // Every rank runs on this host thread, so its BufferPool free lists
+  // outlive the run; enforce their retention cap at teardown.
   BufferPool::trim_local();
   if (first_error_) std::rethrow_exception(first_error_);
 }
 
-void Conductor::run_threads(
-    const std::vector<std::function<void(RankCtx&)>>& programs) {
-  std::vector<std::thread> threads;
-  threads.reserve(states_.size());
-  for (int r = 0; r < size(); ++r) {
-    const std::function<void(RankCtx&)>& program =
-        programs[static_cast<std::size_t>(group_of(r))];
-    threads.emplace_back([this, r, &program] {
-      RankCtx ctx(this, r);
-      bool ok = true;
-      try {
-        program(ctx);
-      } catch (...) {
-        ok = false;
-        std::lock_guard lk(mutex_);
-        abort_with(std::current_exception());
-      }
-      std::lock_guard lk(mutex_);
-      RankState& st = *states_[static_cast<std::size_t>(r)];
-      if (st.status == Status::Runnable) {
-        runnable_.erase({st.registered_clock, r});
-      }
-      st.status = Status::Done;
-      st.finish_time = ctx.clock_;
-      --alive_;
-      if (ok && !aborted_) {
-        // Finishing may starve blocked ranks of their only waker. The
-        // verdict is recorded in first_error_ by detect_deadlock — no
-        // exception needs to pass through this (exiting) thread.
-        detect_deadlock();
-      }
-      notify_min();
-    });
+void Conductor::fiber_body(int rank, const std::function<void(RankCtx&)>& program) {
+  RankCtx ctx(this, rank);
+  try {
+    program(ctx);
+  } catch (...) {
+    abort_with(std::current_exception());
   }
-  for (auto& t : threads) t.join();
-  if (first_error_) std::rethrow_exception(first_error_);
+  RankState& st = *states_[static_cast<std::size_t>(rank)];
+  TPIO_CHECK(st.status != Status::Blocked, "rank finished while blocked");
+  if (st.status == Status::Runnable) {
+    runnable_.erase({st.registered_clock, rank});
+  }
+  st.status = Status::Done;
+  st.finish_time = ctx.clock_;
+  --alive_;
+  // A finish can starve blocked ranks of their only waker; the scheduler
+  // loop delivers the deadlock verdict once it sees the empty runnable set.
 }
 
 Time Conductor::finish_time(int rank) const {

@@ -1,10 +1,8 @@
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <span>
 #include <string>
@@ -17,23 +15,6 @@ namespace tpio::sim {
 
 class Conductor;
 class RankCtx;
-
-/// How the conductor executes its rank programs.
-///
-/// `Fibers` (the default) multiplexes every rank as a cooperatively
-/// scheduled stackful fiber on the single calling host thread: baton
-/// handoffs and event waits are plain user-space context switches, so rank
-/// counts are bounded by memory (a small stack per rank), not by OS
-/// threads — this is what makes 576-process paper-scale runs and
-/// 8192-rank sweeps feasible. `Threads` is the legacy thread-per-rank
-/// execution, kept behind this flag for one release so differential tests
-/// can assert the virtual schedules are bit-identical; it tops out around
-/// the host's thread limits. Both backends produce identical schedules —
-/// the baton protocol already serializes every action into one total
-/// (clock, rank) order, so the N threads never bought parallelism.
-enum class ConductorBackend { Fibers, Threads };
-
-const char* to_string(ConductorBackend b);
 
 /// One-shot completion notice carrying a virtual completion time.
 ///
@@ -59,8 +40,7 @@ using EventPtr = std::shared_ptr<Event>;
 
 /// Per-rank handle passed to the rank's program.
 ///
-/// All methods must be called from the owning rank's execution context
-/// (its fiber, or its thread under the legacy backend). `act()` runs a
+/// All methods must be called from the owning rank's fiber. `act()` runs a
 /// critical section under the global simulation baton: the section
 /// executes only when this rank holds the minimal (clock, rank) pair
 /// among runnable ranks, which serializes every mutation of shared
@@ -133,18 +113,17 @@ class RankCtx {
 
 /// Deterministic discrete-event conductor.
 ///
-/// Runs N rank programs — as cooperatively scheduled fibers on the calling
-/// thread (default) or as N host threads (legacy backend) — granting the
-/// right to mutate shared simulation state ("the baton") to the runnable
-/// rank with the smallest (virtual clock, rank id). Blocked ranks are
-/// excluded from the grant until another rank completes the event they
-/// wait on. Given the same programs and seeds this yields bit-identical
-/// virtual schedules on any host and either backend, regardless of OS
-/// thread scheduling.
+/// Runs N rank programs as cooperatively scheduled stackful fibers on the
+/// calling thread, granting the right to mutate shared simulation state
+/// ("the baton") to the runnable rank with the smallest (virtual clock,
+/// rank id). Blocked ranks are excluded from the grant until another rank
+/// completes the event they wait on. Baton handoffs and event waits are
+/// user-space context switches, so rank counts are bounded by memory (a
+/// small stack per rank), not by OS threads. Given the same programs and
+/// seeds this yields bit-identical virtual schedules on any host.
 class Conductor {
  public:
   explicit Conductor(int nranks);
-  Conductor(int nranks, ConductorBackend backend);
   /// Multi-group conductor: one block of ranks per group (tenant), all
   /// multiplexed on the same baton/fiber scheduler. Group g's ranks get
   /// global ids [base_g, base_g + sizes[g]) and see group-local
@@ -152,20 +131,11 @@ class Conductor {
   /// so cross-tenant interleaving is a deterministic function of virtual
   /// time alone.
   explicit Conductor(const std::vector<int>& group_sizes);
-  Conductor(const std::vector<int>& group_sizes, ConductorBackend backend);
   ~Conductor();
-
-  /// Process-wide default backend: ConductorBackend::Fibers, unless the
-  /// TPIO_CONDUCTOR environment variable ("fibers" | "threads") or
-  /// set_default_backend() says otherwise.
-  static ConductorBackend default_backend();
-  static void set_default_backend(ConductorBackend b);
-
-  ConductorBackend backend() const { return backend_; }
 
   /// Execute `program(ctx)` for every rank; returns when all rank
   /// programs have finished. Rethrows the first exception raised by any
-  /// rank. Under the fiber backend everything runs on the calling thread.
+  /// rank. Everything runs on the calling thread.
   /// Multi-group conductors run the same program for every group (each
   /// rank still sees its group-local rank()/size()).
   void run(const std::function<void(RankCtx&)>& program);
@@ -216,20 +186,14 @@ class Conductor {
     /// must end at exactly 1 for ranks blocked when the run aborts.
     int abort_wakes = 0;
     Time finish_time = 0;
-    std::condition_variable cv;    // Threads backend only
-    std::unique_ptr<Fiber> fiber;  // Fibers backend only
+    std::unique_ptr<Fiber> fiber;
     FiberJob job;
   };
 
-  // Shared-state helpers. Under the Threads backend they require mutex_;
-  // under the Fibers backend all of run() is single-threaded.
+  // Shared-state helpers; all of run() is single-threaded.
   bool is_min(int rank) const;
   void update_entry(int rank, Time clock);
-  void notify_min();  // Threads only; no-op under Fibers
-  void complete_locked(RankCtx& actor, Event& ev, Time t);
-  void block_current(std::unique_lock<std::mutex>& lk, RankCtx& ctx,
-                     const char* site);  // Threads
-  void fiber_block_current(RankCtx& ctx, const char* site);
+  void block_current(RankCtx& ctx, const char* site);
 
   /// All live ranks blocked? Records the verdict in first_error_ and
   /// aborts the run (waking every blocked rank exactly once). Never
@@ -242,15 +206,11 @@ class Conductor {
   void abort_with(std::exception_ptr e);
   [[noreturn]] void throw_aborted();
 
-  void run_threads(const std::vector<std::function<void(RankCtx&)>>& programs);
-  void run_fibers(const std::vector<std::function<void(RankCtx&)>>& programs);
   void fiber_body(int gid, const std::function<void(RankCtx&)>& program);
   int group_of(int gid) const;
 
-  ConductorBackend backend_;
   std::vector<int> group_size_;  // ranks per group
   std::vector<int> group_base_;  // first global id per group
-  std::mutex mutex_;
   std::vector<std::unique_ptr<RankState>> states_;
   std::set<std::pair<Time, int>> runnable_;
   int alive_ = 0;

@@ -9,7 +9,6 @@ namespace tpio::sim {
 
 namespace {
 
-std::atomic<bool> g_recycling{true};
 std::atomic<std::uint64_t> g_acquires{0};
 std::atomic<std::uint64_t> g_hits{0};
 std::atomic<std::uint64_t> g_reservoir_hits{0};
@@ -20,8 +19,9 @@ int class_of(std::size_t n) {
   return static_cast<int>(std::bit_width(n - 1));
 }
 
-/// Process-wide parking lot for buffers whose owning thread exited (the
-/// conductor spawns fresh rank threads per run). Leaked on purpose: the
+/// Process-wide parking lot for buffers whose owning thread exited or
+/// trimmed its lists (sweep workers, conductor run teardown). Leaked on
+/// purpose: the
 /// reservoir must outlive every thread_local pool destructor, and a static
 /// pointer keeps it reachable so leak checkers stay quiet.
 struct Reservoir {
@@ -45,11 +45,7 @@ Reservoir& reservoir() {
 
 void BufferPool::Buffer::reset() {
   if (!mem_) return;
-  if (g_recycling.load(std::memory_order_relaxed)) {
-    BufferPool::local().release(std::move(mem_), cap_);
-  } else {
-    mem_.reset();
-  }
+  BufferPool::local().release(std::move(mem_), cap_);
   cap_ = size_ = 0;
 }
 
@@ -85,18 +81,18 @@ BufferPool::Buffer BufferPool::acquire(std::size_t n, bool zeroed) {
   const int k = class_of(n);
   const std::size_t cap = std::size_t{1} << k;
 
-  if (g_recycling.load(std::memory_order_relaxed)) {
-    auto& list = free_[k];
-    if (!list.empty()) {
-      b.mem_ = std::move(list.back().mem);
-      b.cap_ = list.back().cap;
-      list.pop_back();
-      retained_bytes_ -= b.cap_;
-      g_hits.fetch_add(1, std::memory_order_relaxed);
-      if (zeroed) std::memset(b.mem_.get(), 0, n);
-      b.size_ = n;
-      return b;
-    }
+  auto& list = free_[k];
+  if (!list.empty()) {
+    b.mem_ = std::move(list.back().mem);
+    b.cap_ = list.back().cap;
+    list.pop_back();
+    retained_bytes_ -= b.cap_;
+    g_hits.fetch_add(1, std::memory_order_relaxed);
+    if (zeroed) std::memset(b.mem_.get(), 0, n);
+    b.size_ = n;
+    return b;
+  }
+  {
     Reservoir& r = reservoir();
     std::lock_guard<std::mutex> lk(r.mu);
     if (!r.free_[k].empty()) {
@@ -166,14 +162,6 @@ void BufferPool::reset_stats() {
   g_hits.store(0, std::memory_order_relaxed);
   g_reservoir_hits.store(0, std::memory_order_relaxed);
   g_fresh.store(0, std::memory_order_relaxed);
-}
-
-void BufferPool::set_recycling(bool on) {
-  g_recycling.store(on, std::memory_order_relaxed);
-}
-
-bool BufferPool::recycling() {
-  return g_recycling.load(std::memory_order_relaxed);
 }
 
 void BufferPool::drain_reservoir() {

@@ -21,10 +21,9 @@ namespace tpio::sim {
 /// Lifecycle: `local()` returns this thread's pool. A dying thread's pool
 /// donates its free lists to a process-wide reservoir (mutex-protected,
 /// byte-capped) from which other threads' pools repopulate their local
-/// lists. Under the fiber-backed conductor rank programs share the one
-/// host thread, which never dies mid-process — so the conductor calls
-/// `trim_local()` at run teardown (the fiber-era analogue of rank-thread
-/// death), and long-lived threads are additionally bounded by a per-thread
+/// lists. Rank programs share the conductor's host thread, which never dies
+/// mid-process — so the conductor calls `trim_local()` at run teardown, and
+/// long-lived threads are additionally bounded by a per-thread
 /// retained-byte cap enforced on every release (overflow spills straight
 /// to the reservoir). Buffers may be acquired on one thread and released
 /// on another — the release simply lands in the releasing thread's pool.
@@ -34,9 +33,7 @@ namespace tpio::sim {
 /// all-zero contents of a fresh std::vector for buffers whose bytes may be
 /// read before being fully written; non-zeroed acquisition is reserved for
 /// buffers that are completely overwritten (or never read at all —
-/// Options::materialize == false). set_recycling(false) turns every
-/// acquire into a plain heap allocation, the legacy arm of the
-/// differential tests.
+/// Options::materialize == false).
 class BufferPool {
  public:
   /// RAII handle of one checked-out buffer. Movable, not copyable; the
@@ -99,11 +96,6 @@ class BufferPool {
   static Stats stats();
   static void reset_stats();
 
-  /// Test hook: false makes acquire() heap-allocate and release() free —
-  /// the legacy allocation behaviour. Thread-safe; default true.
-  static void set_recycling(bool on);
-  static bool recycling();
-
   /// Drop every buffer parked in the global reservoir (local lists are
   /// unreachable from other threads and simply age out). For tests.
   static void drain_reservoir();
@@ -117,8 +109,8 @@ class BufferPool {
   static std::size_t set_local_cap_bytes(std::size_t cap);
 
   /// Donate the calling thread's free lists to the global reservoir now —
-  /// what a dying rank thread used to do implicitly. The fiber-backed
-  /// conductor calls this at run teardown.
+  /// what a dying thread does implicitly. The conductor calls this at run
+  /// teardown.
   static void trim_local();
 
   /// Default per-thread retained-byte cap (64 MiB): generous enough that

@@ -23,10 +23,8 @@ struct Log {
 
 /// Random program: each rank alternates local work, completing "its" events
 /// and waiting on pseudo-random other ranks' events of earlier steps.
-Log run_random_program(std::uint64_t seed, int P, int steps,
-                       sim::ConductorBackend backend =
-                           sim::Conductor::default_backend()) {
-  sim::Conductor c(P, backend);
+Log run_random_program(std::uint64_t seed, int P, int steps) {
+  sim::Conductor c(P);
   // events[r][s]: completed by rank r at its step s.
   std::vector<std::vector<sim::EventPtr>> events(
       static_cast<std::size_t>(P));
@@ -81,17 +79,6 @@ TEST_P(ConductorFuzz, CommittedActionsNondecreasing) {
     EXPECT_GE(t, prev) << "action committed out of virtual-time order";
     prev = t;
   }
-}
-
-TEST_P(ConductorFuzz, FiberAndThreadSchedulesBitIdentical) {
-  // The cross-backend differential: the same random interaction graph must
-  // produce entry-for-entry identical action logs on the cooperative fiber
-  // scheduler and on the legacy thread-per-rank backend.
-  const auto fibers = run_random_program(GetParam() ^ 0xD1FF, 11, 14,
-                                         sim::ConductorBackend::Fibers);
-  const auto threads = run_random_program(GetParam() ^ 0xD1FF, 11, 14,
-                                          sim::ConductorBackend::Threads);
-  EXPECT_EQ(fibers.entries, threads.entries);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ConductorFuzz,

@@ -461,31 +461,6 @@ TEST(MpiColl, SparseAllgathervDeliversWantedInterval) {
   });
 }
 
-TEST(MpiColl, SparseAllgathervDenseFlagKeepsVirtualTime) {
-  // dense=true is a host-materialization switch only: rank 1 gets all six
-  // blobs instead of one, but the completion time is bit-identical because
-  // the cost derives from the declared want topology.
-  auto run_one = [](bool dense) {
-    Rig rig(6);
-    sim::Time t = 0;
-    std::size_t rank1_blobs = 0;
-    rig.run([&](smpi::Mpi& mpi) {
-      const int me = mpi.rank();
-      const std::vector<std::byte> mine(100u * (static_cast<std::size_t>(me) + 1));
-      const int want_e = (me % 2 == 0) ? 6 : 0;
-      const auto got = mpi.sparse_allgatherv(mine, 0, want_e, dense);
-      if (me == 0) t = mpi.ctx().now();
-      if (me == 1) rank1_blobs = got.size();
-    });
-    return std::pair{t, rank1_blobs};
-  };
-  const auto [t_sparse, n_sparse] = run_one(false);
-  const auto [t_dense, n_dense] = run_one(true);
-  EXPECT_EQ(t_sparse, t_dense);
-  EXPECT_EQ(n_sparse, 1u);
-  EXPECT_EQ(n_dense, 6u);
-}
-
 TEST(MpiColl, SparseAllgathervFullWantMatchesAllgathervData) {
   constexpr int P = 5;
   std::vector<std::vector<std::byte>> via_dense(P);

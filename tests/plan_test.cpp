@@ -2,6 +2,8 @@
 
 #include "core/plan.hpp"
 #include "simbase/error.hpp"
+#include "simbase/rng.hpp"
+#include "simbase/units.hpp"
 
 namespace coll = tpio::coll;
 namespace net = tpio::net;
@@ -343,4 +345,53 @@ TEST(Plan, ViewsWithHolesStillPartition) {
   EXPECT_EQ(plan.global_bytes(), 200u);
   // Cycle count is driven by the (mostly empty) domain size.
   EXPECT_GT(plan.num_cycles(), 900);
+}
+
+TEST(Plan, SkeletonFromSummariesMatchesDensePlanGeometry) {
+  // PlanSkeleton sees 32 bytes per rank; the dense Plan sees every extent.
+  // Both must derive the same geometry — aggregator placement, domains,
+  // cycles, leaders — for random decompositions.
+  sim::Rng rng(0x5EED);
+  for (int trial = 0; trial < 20; ++trial) {
+    const int ppn = 1 + static_cast<int>(rng.next_below(4));
+    const int nodes = 2 + static_cast<int>(rng.next_below(7));
+    const int P = nodes * ppn;
+    const net::Topology topo{nodes, ppn};
+    std::vector<coll::FileView> views(static_cast<std::size_t>(P));
+    std::uint64_t pos = rng.next_below(1 << 20);
+    for (int k = 0; k < 50; ++k) {
+      const int owner =
+          static_cast<int>(rng.next_below(static_cast<std::uint64_t>(P)));
+      const std::uint64_t len = 1 + rng.next_below(100'000);
+      views[static_cast<std::size_t>(owner)].extents.push_back(
+          coll::Extent{pos, len});
+      pos += len + rng.next_below(4096);
+    }
+    coll::Options opt;
+    opt.cb_size = 1 << 20;
+    opt.hierarchical = (trial % 2 == 1);
+    const std::uint64_t stripe = 128 * sim::KiB;
+
+    std::vector<coll::ViewSummary> summaries;
+    summaries.reserve(views.size());
+    for (const auto& v : views) summaries.push_back(v.summarize());
+    const coll::PlanSkeleton skel(summaries, topo, stripe, opt);
+    const coll::Plan dense(views, topo, stripe, opt);
+
+    ASSERT_EQ(skel.num_aggregators(), dense.num_aggregators()) << trial;
+    EXPECT_EQ(skel.num_cycles(), dense.num_cycles()) << trial;
+    EXPECT_EQ(skel.sub_buffer_bytes(), dense.sub_buffer_bytes()) << trial;
+    EXPECT_EQ(skel.global_bytes(), dense.global_bytes()) << trial;
+    EXPECT_EQ(skel.range_begin(), dense.range_begin()) << trial;
+    EXPECT_EQ(skel.range_end(), dense.range_end()) << trial;
+    for (int a = 0; a < skel.num_aggregators(); ++a) {
+      EXPECT_EQ(skel.agg_rank(a), dense.agg_rank(a)) << trial;
+      EXPECT_EQ(skel.domain(a).begin, dense.domain(a).begin) << trial;
+      EXPECT_EQ(skel.domain(a).end, dense.domain(a).end) << trial;
+    }
+    for (int r = 0; r < P; ++r) {
+      EXPECT_EQ(skel.is_aggregator(r), dense.is_aggregator(r)) << trial;
+      EXPECT_EQ(skel.agg_index(r), dense.agg_index(r)) << trial;
+    }
+  }
 }

@@ -2,7 +2,7 @@
 // sub-view geometry units, edge geometries (k not dividing P, k == P
 // file-per-rank, single-node subgroups under the hierarchical shuffle),
 // composition with fault injection and multi-tenant contention, the pure
-// auto-k decision functions, and cross-backend determinism. The k == 1
+// auto-k decision functions, and rerun determinism. The k == 1
 // bit-identity contract lives in subfiling_diff_test.cpp.
 //
 // Registered under the `subfiling` ctest label (tests/CMakeLists.txt).
@@ -15,12 +15,12 @@
 #include <vector>
 
 #include "core/autotune.hpp"
+#include "fingerprint.hpp"
 #include "harness/cli.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "harness/tenancy.hpp"
 #include "net/topology.hpp"
-#include "sched/conductor.hpp"
 #include "simbase/error.hpp"
 
 namespace coll = tpio::coll;
@@ -29,20 +29,9 @@ namespace pfs = tpio::pfs;
 namespace sim = tpio::sim;
 namespace wl = tpio::wl;
 namespace xp = tpio::xp;
+using tpio::test::fingerprint;
 
 namespace {
-
-class BackendGuard {
- public:
-  explicit BackendGuard(sim::ConductorBackend b)
-      : prev_(sim::Conductor::default_backend()) {
-    sim::Conductor::set_default_backend(b);
-  }
-  ~BackendGuard() { sim::Conductor::set_default_backend(prev_); }
-
- private:
-  sim::ConductorBackend prev_;
-};
 
 xp::RunSpec base_spec(wl::Spec w, int procs) {
   xp::RunSpec s;
@@ -52,25 +41,6 @@ xp::RunSpec base_spec(wl::Spec w, int procs) {
   s.options.cb_size = xp::kCbSize;
   s.seed = 0x5F11;
   s.verify = true;
-  return s;
-}
-
-/// Full-schedule fingerprint of a subfiled run, subfile table included.
-std::string fp(const xp::RunResult& r) {
-  std::string s = std::to_string(r.completion) + "|" +
-                  std::to_string(r.makespan) + "|" +
-                  std::to_string(r.bytes) + "|" +
-                  std::to_string(r.aggregators) + "|" +
-                  std::to_string(r.cycles) + "|" +
-                  std::to_string(r.inter_node_bytes) + "|" +
-                  std::to_string(r.inter_node_messages) + "|" +
-                  std::to_string(r.rank_sum.total) + "|" + r.io_error + "|" +
-                  r.verify_error + "#";
-  for (const xp::SubfileResult& f : r.subfiles) {
-    s += std::to_string(f.group) + "," + std::to_string(f.ranks) + "," +
-         std::to_string(f.aggregators) + "," + std::to_string(f.bytes) + "," +
-         std::to_string(f.completion) + ";";
-  }
   return s;
 }
 
@@ -291,7 +261,7 @@ TEST(Subfiling, ComposesWithFaults) {
   EXPECT_GT(a.faults.retries, 0);
   EXPECT_EQ(a.faults.giveups, 0);
   // The fault scenario is deterministic per subgroup: identical reruns.
-  EXPECT_EQ(fp(a), fp(xp::execute(spec)));
+  EXPECT_EQ(fingerprint(a), fingerprint(xp::execute(spec)));
 }
 
 TEST(Subfiling, ComposesWithContention) {
@@ -312,22 +282,18 @@ TEST(Subfiling, ComposesWithContention) {
     expect_valid_subfiled(t.run, 12, 3, "contended tenant");
   }
   const xp::MultiRunResult b = xp::execute_multi(m);
-  EXPECT_EQ(fp(a.tenants[0].run), fp(b.tenants[0].run));
-  EXPECT_EQ(fp(a.tenants[1].run), fp(b.tenants[1].run));
+  EXPECT_EQ(fingerprint(a.tenants[0].run), fingerprint(b.tenants[0].run));
+  EXPECT_EQ(fingerprint(a.tenants[1].run), fingerprint(b.tenants[1].run));
   EXPECT_EQ(a.makespan, b.makespan);
 }
 
-TEST(Subfiling, DeterministicAcrossBackends) {
-  std::vector<std::string> prints;
-  for (sim::ConductorBackend b :
-       {sim::ConductorBackend::Fibers, sim::ConductorBackend::Threads}) {
-    BackendGuard guard(b);
-    xp::RunSpec spec = base_spec(wl::make_tile1m(1, 1), 15);
-    spec.options.sub_comm_count = 3;
-    spec.options.overlap = coll::OverlapMode::WriteComm2;
-    prints.push_back(fp(xp::execute(spec)));
-  }
-  EXPECT_EQ(prints[0], prints[1]);
+TEST(Subfiling, DeterministicAcrossRuns) {
+  // k = 3 does not divide the 15 ranks evenly; reruns must still agree on
+  // every field, subfile table included.
+  xp::RunSpec spec = base_spec(wl::make_tile1m(1, 1), 15);
+  spec.options.sub_comm_count = 3;
+  spec.options.overlap = coll::OverlapMode::WriteComm2;
+  EXPECT_EQ(fingerprint(xp::execute(spec)), fingerprint(xp::execute(spec)));
 }
 
 TEST(Subfiling, SubfiledSweepIdenticalAcrossJobs) {

@@ -12,7 +12,11 @@
 //   (c) coverage of the tuning surface — every field of coll::Options
 //       (src/core/types.hpp) and every `--flag` the tpio_sim / tpio_sweep
 //       CLIs accept must be mentioned in at least one document, so a knob
-//       can never be grown without a sentence saying what it does, and
+//       can never be grown without a sentence saying what it does,
+//   (c') the reverse — every `Options::<field>` a document names must be a
+//       field of coll::Options, and every `--flag` on a tpio_sim /
+//       tpio_sweep command line in a document must be accepted by one of
+//       the CLIs, so a deleted knob cannot live on in the docs, and
 //   (d) experiment coverage — every `bench/fig_*` driver registered in
 //       bench/CMakeLists.txt must have a section in EXPERIMENTS.md.
 //
@@ -153,6 +157,61 @@ std::set<std::string> cli_flags(const std::string& text) {
   return out;
 }
 
+// Identifiers written as `Options::<name>` (also `coll::Options::<name>`,
+// but not `ExecOptions::<name>` and other structs ending in "Options").
+std::set<std::string> options_refs(const std::string& text) {
+  std::set<std::string> out;
+  const std::string needle = "Options::";
+  for (std::size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + 1)) {
+    if (pos > 0 && name_char(text[pos - 1])) continue;
+    std::size_t start = pos + needle.size();
+    std::size_t end = start;
+    while (end < text.size() && name_char(text[end])) ++end;
+    if (end > start) out.insert(text.substr(start, end - start));
+  }
+  return out;
+}
+
+// `--flag` tokens on tpio_sim / tpio_sweep command lines: from the tool
+// name to the end of the command — the end of the line (a trailing
+// backslash continues it), a pipe, `;`, `&`, a redirection or a closing
+// backtick.
+std::set<std::string> command_line_flags(const std::string& text) {
+  std::set<std::string> out;
+  for (const std::string tool : {"tpio_sim", "tpio_sweep"}) {
+    for (std::size_t pos = text.find(tool); pos != std::string::npos;
+         pos = text.find(tool, pos + 1)) {
+      std::size_t i = pos + tool.size();
+      if (i < text.size() && (name_char(text[i]) || text[i] == '.')) continue;
+      for (; i < text.size(); ++i) {
+        const char c = text[i];
+        if (c == '\\' && i + 1 < text.size() && text[i + 1] == '\n') {
+          ++i;
+          continue;
+        }
+        if (c == '\n' || c == '|' || c == ';' || c == '&' || c == '>' ||
+            c == '<' || c == '`') {
+          break;
+        }
+        if (c != '-' || text[i - 1] != ' ' || i + 1 >= text.size() ||
+            text[i + 1] != '-') {
+          continue;
+        }
+        std::size_t end = i + 2;
+        while (end < text.size() &&
+               (std::isalnum(static_cast<unsigned char>(text[end])) ||
+                text[end] == '-')) {
+          ++end;
+        }
+        if (end > i + 2) out.insert(text.substr(i, end - i));
+        i = end - 1;
+      }
+    }
+  }
+  return out;
+}
+
 // Names registered via `tpio_add_bench(<name> ...)`.
 std::vector<std::string> bench_targets(const std::string& cmake_text) {
   std::vector<std::string> out;
@@ -222,8 +281,9 @@ int main(int argc, char** argv) {
   for (const fs::path& doc : docs) corpus += slurp(doc);
 
   int knobs = 0;
-  for (const std::string& field :
-       struct_fields(slurp(repo / "src/core/types.hpp"), "Options")) {
+  const std::vector<std::string> fields =
+      struct_fields(slurp(repo / "src/core/types.hpp"), "Options");
+  for (const std::string& field : fields) {
     ++knobs;
     if (corpus.find(field) == std::string::npos) {
       std::cerr << "coll::Options::" << field
@@ -242,6 +302,26 @@ int main(int argc, char** argv) {
       std::cerr << "CLI flag " << flag
                 << " is documented nowhere (README/DESIGN/EXPERIMENTS/docs)\n";
       ++broken;
+    }
+  }
+
+  // (c') Reverse coverage: what the docs name must still exist.
+  for (const fs::path& doc : docs) {
+    const std::string text = slurp(doc);
+    const std::string where = doc.lexically_relative(repo).string();
+    for (const std::string& name : options_refs(text)) {
+      if (std::find(fields.begin(), fields.end(), name) == fields.end()) {
+        std::cerr << where << ": Options::" << name
+                  << " is not a field of coll::Options\n";
+        ++broken;
+      }
+    }
+    for (const std::string& flag : command_line_flags(text)) {
+      if (flags.count(flag) == 0) {
+        std::cerr << where << ": " << flag
+                  << " is accepted by neither tpio_sim nor tpio_sweep\n";
+        ++broken;
+      }
     }
   }
 

@@ -5,8 +5,7 @@
 //   tpio_sweep --platform crill [--primitives] [--auto] [--hierarchical]
 //              [--leader lowest|spread|superset] [--local-aggs N]
 //              [--quick] [--reps N]
-//              [--jobs N] [--conductor fibers|threads]
-//              [--resume FILE] [--progress] > out.csv
+//              [--jobs N] [--resume FILE] [--progress] > out.csv
 //
 // --auto adds a sixth column to the overlap sweep: the adaptive
 // scheduler (OverlapMode::Auto), measured like the fixed five.
@@ -24,7 +23,6 @@
 
 #include "harness/cli.hpp"
 #include "harness/sweep.hpp"
-#include "sched/conductor.hpp"
 #include "simbase/error.hpp"
 #include "simbase/units.hpp"
 
@@ -91,19 +89,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       exec.jobs = static_cast<int>(jobs);
-    } else if (a == "--conductor" && i + 1 < argc) {
-      const std::string v = argv[++i];
-      if (v == "fibers") {
-        tpio::sim::Conductor::set_default_backend(
-            tpio::sim::ConductorBackend::Fibers);
-      } else if (v == "threads") {
-        tpio::sim::Conductor::set_default_backend(
-            tpio::sim::ConductorBackend::Threads);
-      } else {
-        std::fprintf(stderr, "--conductor wants fibers|threads, got '%s'\n",
-                     v.c_str());
-        return 2;
-      }
     } else if (a == "--resume" && i + 1 < argc) {
       exec.checkpoint = argv[++i];
     } else if (a == "--progress") {
@@ -195,7 +180,6 @@ int main(int argc, char** argv) {
                    "[--primitives] [--auto] [--hierarchical] "
                    "[--leader lowest|spread|superset] [--local-aggs N] "
                    "[--quick] [--reps N] [--jobs N] "
-                   "[--conductor fibers|threads] "
                    "[--resume FILE] [--progress] "
                    "[--fault-rate R] [--fault-seed N] [--straggler F] "
                    "[--straggler-targets N] [--max-retries N] "
