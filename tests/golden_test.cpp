@@ -7,7 +7,9 @@
 // sub-communicators, transient write faults, a forced give-up, three
 // tenants under fair-share QoS (one line per tenant), and all of those at
 // once. A last block writes a Tile-1M file and reads it back under each of
-// the five read schedulers.
+// the five read schedulers, then again under transient read faults (a
+// budget that absorbs every failure, and a forced give-up) with the none,
+// write-comm and write-comm-2 read schedulers.
 //
 // One gtest case per scenario, so `ctest -j` spreads the grid. Each case
 // writes its actual section to golden/<NN>-<scenario>.txt in the build
@@ -20,6 +22,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -73,6 +76,36 @@ void transient_faults(xp::RunSpec& s) {
 
 enum class Kind { Solo, Tenants, Read };
 
+constexpr coll::OverlapMode kFaultReadModes[] = {
+    coll::OverlapMode::None, coll::OverlapMode::WriteComm,
+    coll::OverlapMode::WriteComm2};
+
+/// Read-back variants of the read shard: `tag` prefixes the mode in the
+/// label ("" for the healthy reads).
+struct ReadVariant {
+  const char* tag;
+  std::span<const coll::OverlapMode> modes;
+  void (*apply)(xp::RunSpec&);
+};
+
+const ReadVariant kReadVariants[] = {
+    {"", std::span(kModes).first(5), [](xp::RunSpec&) {}},  // no Auto
+    {"faults/", kFaultReadModes,
+     [](xp::RunSpec& s) {
+       // Transient read faults; the budget outlasts every failure run.
+       s.platform.pfs.faults.read_fail_rate = 0.1;
+       s.platform.pfs.faults.seed = 0xFA17;
+       s.options.max_retries = 8;
+     }},
+    {"giveup/", kFaultReadModes,
+     [](xp::RunSpec& s) {
+       // Half of all read attempts fail with one retry allowed.
+       s.platform.pfs.faults.read_fail_rate = 0.5;
+       s.platform.pfs.faults.seed = 0xFA17;
+       s.options.max_retries = 1;
+     }},
+};
+
 struct Scenario {
   const char* name;
   Kind kind;
@@ -124,10 +157,14 @@ std::vector<Cell> cells_of(const Scenario& sc) {
     if (sc.kind == Kind::Read) {
       base.workload = wl::make_tile1m(1, 1);
       base.options.cb_size = xp::kCbSize;
-      for (const coll::OverlapMode m : kModes) {
-        if (m == coll::OverlapMode::Auto) continue;  // write-only mode
-        out.push_back({std::string(sc.name) + "/" + coll::to_string(m) + s,
-                       sc.kind, base, m});
+      for (const ReadVariant& v : kReadVariants) {
+        xp::RunSpec spec = base;
+        v.apply(spec);
+        for (const coll::OverlapMode m : v.modes) {
+          out.push_back({std::string(sc.name) + "/" + v.tag +
+                             coll::to_string(m) + s,
+                         sc.kind, spec, m});
+        }
       }
       continue;
     }
@@ -149,7 +186,8 @@ std::vector<Cell> cells_of(const Scenario& sc) {
 
 /// Writes the Tile-1M file with write-comm-2, then reads it back with
 /// `c.read_mode`, on a stack seeded like the solo runner's (minus its
-/// per-run aio-quality draw).
+/// per-run aio-quality draw). Cells with read faults also record the first
+/// rank's give-up text.
 std::string read_fingerprint(const Cell& c) {
   const xp::RunSpec& spec = c.spec;
   net::FabricParams fp = spec.platform.fabric;
@@ -188,18 +226,27 @@ std::string read_fingerprint(const Cell& c) {
   w.field("write_end", write_end).field("makespan", conductor.makespan());
   coll::PhaseTimings sum, critical;
   coll::FaultStats faults;
+  std::string io_error;
   std::uint64_t crc = 0;
   for (int r = 0; r < kProcs; ++r) {
     const auto i = static_cast<std::size_t>(r);
-    EXPECT_EQ(read[i], written[i]) << c.label << " rank " << r;
     sum += res[i].timings;
     faults += res[i].faults;
     if (res[i].timings.total > critical.total) critical = res[i].timings;
+    if (io_error.empty()) io_error = res[i].io_error;
     crc = sim::crc64(crc, read[i]);
+  }
+  // A give-up leaves stale bytes behind; the crc still pins them.
+  for (int r = 0; faults.giveups == 0 && r < kProcs; ++r) {
+    const auto i = static_cast<std::size_t>(r);
+    EXPECT_EQ(read[i], written[i]) << c.label << " rank " << r;
   }
   w.timings("rank_sum", sum).timings("critical", critical);
   w.faults("faults", faults).field("crc", crc);
   w.field("verify_error", file->verify(wl::expected_byte));
+  if (spec.platform.pfs.faults.read_fail_rate > 0) {
+    w.field("io_error", io_error);
+  }
   return w.take();
 }
 
