@@ -8,6 +8,7 @@
 
 #include "core/autotune.hpp"
 #include "core/plan_cache.hpp"
+#include "core/read_engine.hpp"
 #include "core/segcopy.hpp"
 #include "core/trace.hpp"
 #include "simbase/bufpool.hpp"
@@ -37,22 +38,73 @@ smpi::Tag gather_tag(int cycle, int lane) {
          (static_cast<smpi::Tag>(lane) << 41);
 }
 
+/// Scatter tags live in their own space so interleaved collective writes
+/// and reads on one machine can never cross-match.
+smpi::Tag scatter_tag(int cycle) {
+  return static_cast<smpi::Tag>(cycle) | (smpi::Tag{1} << 30);
+}
+
 }  // namespace
+
+struct Engine::DirectionTraits {
+  std::uint64_t backoff_salt;
+  const char* blocking_giveup;  // give-up text of a blocking access
+  const char* async_giveup;     // ... of a failed asynchronous access
+  const char* init;             // trace names of the file-access stage
+  const char* wait;
+  const char* blocking;
+  const char* retry;
+  const char* giveup;
+};
+
+// The salts differ so interleaved reads and writes never share a jitter
+// draw.
+const Engine::DirectionTraits Engine::kTraits[2] = {
+    {0xB0FFull, "blocking write", "async write", "write_init", "write_wait",
+     "write_blocking", "write_retry", "write_giveup"},
+    {0x5EB0FFull, "collective read", "collective read", "read_init",
+     "read_wait", "read_blocking", "read_retry", "read_giveup"},
+};
 
 Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
                std::span<const std::byte> local_data, const Options& opt,
                PhaseTimings& timings)
-    : mpi_(mpi),
+    : Engine(Direction::Write, mpi, file, plan, local_data, {}, opt,
+             timings) {}
+
+Engine Engine::reader(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
+                      std::span<std::byte> local_out, const Options& opt,
+                      PhaseTimings& timings) {
+  return Engine(Direction::Read, mpi, file, plan, {}, local_out, opt,
+                timings);
+}
+
+Engine::Engine(Direction dir, smpi::Mpi& mpi, pfs::File& file,
+               const Plan& plan, std::span<const std::byte> local_data,
+               std::span<std::byte> local_out, const Options& opt,
+               PhaseTimings& timings)
+    : dir_(dir),
+      traits_(kTraits[static_cast<int>(dir)]),
+      up_(dir == Direction::Write ? Stage::Comm : Stage::Io),
+      down_(dir == Direction::Write ? Stage::Io : Stage::Comm),
+      mpi_(mpi),
       file_(file),
       plan_(plan),
       data_(local_data),
+      out_(local_out),
       opt_(opt),
       t_(timings) {
-  TPIO_CHECK(data_.size() == plan.view(mpi.rank()).total_bytes(),
+  const bool writing = dir_ == Direction::Write;
+  TPIO_CHECK((writing ? data_.size() : out_.size()) ==
+                 plan.view(mpi.rank()).total_bytes(),
              "local buffer size does not match the file view");
+  TPIO_CHECK(writing || (opt_.transfer == Transfer::TwoSided &&
+                         !opt_.hierarchical),
+             "the read direction implements the flat two-sided scatter only");
   // Timing-only mode must never meet a content-recording file: the digest
   // would be computed over unmaterialized bytes.
-  TPIO_CHECK(opt_.materialize || file_.integrity() == pfs::Integrity::None,
+  TPIO_CHECK(!writing || opt_.materialize ||
+                 file_.integrity() == pfs::Integrity::None,
              "Options::materialize == false requires Integrity::None");
   my_agg_ = plan_.agg_index(mpi_.rank());
   node_ = mpi_.machine().fabric().topology().node_of(mpi_.rank());
@@ -73,12 +125,13 @@ Engine::Engine(smpi::Mpi& mpi, pfs::File& file, const Plan& plan,
   if (opt_.transfer == Transfer::TwoSided) {
     if (my_agg_ >= 0) {
       // Pooled sub-buffers, recycled across cycles and runs. Zeroing is
-      // only needed when contents are recorded: file regions of a cycle
-      // range not covered by any incoming segment keep the sub-buffer's
-      // prior bytes, which a fresh std::vector guaranteed to be zero.
+      // only needed when written contents are recorded: file regions of a
+      // cycle range not covered by any incoming segment keep the
+      // sub-buffer's prior bytes, which a fresh std::vector guaranteed to
+      // be zero. A read defines every byte of the span it is handed.
       for (int s = 0; s < nslots; ++s) {
-        slots_[s].cb =
-            sim::BufferPool::local().acquire(sb, /*zeroed=*/opt_.materialize);
+        slots_[s].cb = sim::BufferPool::local().acquire(
+            sb, /*zeroed=*/writing && opt_.materialize);
       }
     }
   } else {
@@ -223,8 +276,7 @@ void Engine::leader_gather(int cycle, int slot) {
 
   // Receive every member's packed pieces, scatter them (and our own) into
   // the merged staging buffer.
-  ScopedTraceEvent ev_(opt_.trace, "leader_gather", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
+  ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), "leader_gather", cycle);
   // The staging buffer is fully covered by the members' pieces, so it
   // needs no zeroing; pooled, recycled across cycles and runs.
   s.stage = sim::BufferPool::local().acquire(stage_bytes, /*zeroed=*/false);
@@ -291,11 +343,10 @@ void Engine::leader_gather(int cycle, int slot) {
 
 void Engine::shuffle_init(int cycle, int slot) {
   leader_gather(cycle, slot);  // hierarchical mode only; no-op otherwise
-  ScopedTraceEvent ev_(opt_.trace, "shuffle_init", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
+  ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), "shuffle_init", cycle);
   Slot& s = slots_[slot];
   TPIO_CHECK(!s.sh.pending, "shuffle_init while a shuffle is pending on slot");
-  TPIO_CHECK(!s.wr.valid(),
+  TPIO_CHECK(!s.io.valid(),
              "shuffle_init into a sub-buffer with an outstanding write");
   s.sh.clear();  // keeps vector capacity: steady-state cycles don't allocate
   s.sh.cycle = cycle;
@@ -362,7 +413,6 @@ void Engine::shuffle_init(int cycle, int slot) {
           std::uint64_t n = 0;
           for (const Segment& g : segs) n += g.length;
           RecvStage st;
-          st.src = src;
           st.buf = sim::BufferPool::local().acquire(n, /*zeroed=*/false);
           st.segs = std::move(segs);  // reused by shuffle_wait's scatter
           s.sh.recv_bufs.push_back(std::move(st));
@@ -533,8 +583,8 @@ void Engine::shuffle_init(int cycle, int slot) {
 }
 
 void Engine::shuffle_wait(int slot) {
-  ScopedTraceEvent ev_(opt_.trace, "shuffle_wait", slots_[slot].sh.cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
+  ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), "shuffle_wait",
+                      slots_[slot].sh.cycle);
   Slot& s = slots_[slot];
   TPIO_CHECK(s.sh.pending, "shuffle_wait without a pending shuffle");
   s.sh.pending = false;
@@ -610,8 +660,154 @@ void Engine::shuffle_blocking(int cycle, int slot) {
 }
 
 // ---------------------------------------------------------------------------
-// I/O phase
+// Scatter phase (read direction)
 // ---------------------------------------------------------------------------
+
+void Engine::scatter_init(int cycle, int slot) {
+  ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), "scatter_init", cycle);
+  Slot& s = slots_[slot];
+  TPIO_CHECK(!s.sh.pending, "scatter_init while a scatter is pending on slot");
+  TPIO_CHECK(!s.io.valid(),
+             "scatter_init from a sub-buffer with an outstanding read");
+  TPIO_CHECK(my_agg_ < 0 || s.io_cycle == cycle,
+             "scatter_init without the cycle's data in the sub-buffer");
+  s.sh.clear();  // keeps vector capacity: steady-state cycles don't allocate
+  s.sh.cycle = cycle;
+  s.sh.pending = true;
+  const int me = mpi_.rank();
+  const smpi::Tag tag = scatter_tag(cycle);
+  const int A = plan_.num_aggregators();
+  s.sh.reqs.reserve(static_cast<std::size_t>(A) +
+                    (my_agg_ >= 0 ? static_cast<std::size_t>(mpi_.size()) : 0));
+  s.sh.recv_bufs.reserve(static_cast<std::size_t>(A));
+
+  // Receive side first (pre-post): one message per aggregator that holds
+  // pieces of this rank's view in this cycle. A destination whose pieces
+  // form one contiguous local run — always the case for a cycle range, see
+  // segcopy.hpp — receives straight into the output buffer; the unpack CPU
+  // is still charged at scatter_wait from the retained segment list.
+  for (int a = 0; a < A; ++a) {
+    const Plan::Range r = plan_.cycle_range(a, cycle);
+    auto segs = plan_.segments_in(me, r.begin, r.end);
+    if (segs.empty()) continue;
+    std::span<std::byte> dest;
+    if (segs.size() == 1) {
+      dest = out_.subspan(segs[0].local_offset, segs[0].length);
+    } else {
+      std::uint64_t n = 0;
+      for (const Segment& g : segs) n += g.length;
+      const segcopy::LocalRun run = segcopy::local_run(segs);
+      RecvStage st;
+      if (!run.ok) st.buf = sim::BufferPool::local().acquire(n, false);
+      st.segs = std::move(segs);
+      s.sh.recv_bufs.push_back(std::move(st));
+      dest = run.ok ? out_.subspan(run.local_offset, run.total)
+                    : s.sh.recv_bufs.back().buf.span();
+    }
+    timed(mpi_.ctx(), t_.shuffle, [&] {
+      s.sh.reqs.push_back(mpi_.irecv(plan_.agg_rank(a), tag, dest));
+    });
+  }
+
+  // Send side (aggregators): each destination's pieces, gathered from the
+  // collective buffer; destinations whose pieces are contiguous in the
+  // file go zero-copy (a slice of the sub-buffer), scattered ones are
+  // packed with one copy per file-contiguous run.
+  if (my_agg_ < 0) return;
+  const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
+  std::span<std::byte> cb = cb_span(slot);
+  s.sh.send_bufs.reserve(static_cast<std::size_t>(mpi_.size()));
+  for (int dst = 0; dst < mpi_.size(); ++dst) {
+    const auto segs = plan_.segments_in(dst, r.begin, r.end);
+    if (segs.empty()) continue;
+    std::span<const std::byte> payload;
+    if (segs.size() == 1) {
+      payload = cb.subspan(segs[0].file_offset - r.begin, segs[0].length);
+    } else {
+      std::uint64_t total = 0;
+      for (const Segment& g : segs) total += g.length;
+      bool file_run = true;
+      for (std::size_t i = 1; file_run && i < segs.size(); ++i) {
+        file_run = segs[i].file_offset ==
+                   segs[i - 1].file_offset + segs[i - 1].length;
+      }
+      if (file_run) {
+        // The packed message is a contiguous slice of the sub-buffer; the
+        // slice is stable until this slot's scatter_wait.
+        payload = cb.subspan(segs[0].file_offset - r.begin, total);
+      } else {
+        sim::BufferPool::Buffer buf =
+            sim::BufferPool::local().acquire(total, /*zeroed=*/false);
+        if (opt_.materialize) {
+          std::uint64_t pos = 0;
+          segcopy::for_file_runs(
+              segs, [&](std::size_t, std::size_t, std::uint64_t off,
+                        std::uint64_t len) {
+                std::memcpy(buf.data() + pos, cb.data() + (off - r.begin),
+                            len);
+                pos += len;
+              });
+        }
+        s.sh.send_bufs.push_back(std::move(buf));
+        payload = s.sh.send_bufs.back().span();
+      }
+      timed(mpi_.ctx(), t_.pack,
+            [&] { mpi_.ctx().advance(pack_cost(segs.size(), total)); });
+    }
+    timed(mpi_.ctx(), t_.shuffle,
+          [&] { s.sh.reqs.push_back(mpi_.isend(dst, tag, payload)); });
+  }
+}
+
+void Engine::scatter_wait(int slot) {
+  ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), "scatter_wait",
+                      slots_[slot].sh.cycle);
+  Slot& s = slots_[slot];
+  TPIO_CHECK(s.sh.pending, "scatter_wait without a pending scatter");
+  s.sh.pending = false;
+  timed(mpi_.ctx(), t_.shuffle, [&] { mpi_.waitall(s.sh.reqs); });
+  // Unpack staged multi-segment messages into the local view buffer
+  // (direct-landed ones only charge the unpack CPU — the bytes are already
+  // in place, in the same order the staged unpack would produce).
+  if (!s.sh.recv_bufs.empty()) {
+    std::size_t nsegs = 0;
+    std::uint64_t bytes = 0;
+    for (const RecvStage& st : s.sh.recv_bufs) {
+      std::uint64_t pos = 0;
+      if (st.buf.empty()) {
+        for (const Segment& g : st.segs) pos += g.length;
+      } else {
+        segcopy::for_local_runs(
+            st.segs, [&](std::size_t, std::size_t, std::uint64_t off,
+                         std::uint64_t len) {
+              if (opt_.materialize) {
+                std::memcpy(out_.data() + off, st.buf.data() + pos, len);
+              }
+              pos += len;
+            });
+        TPIO_CHECK(pos == st.buf.size(), "scatter unpack size mismatch");
+      }
+      nsegs += st.segs.size();
+      bytes += pos;
+    }
+    timed(mpi_.ctx(), t_.pack,
+          [&] { mpi_.ctx().advance(pack_cost(nsegs, bytes)); });
+  }
+  s.sh.clear();
+}
+
+// ---------------------------------------------------------------------------
+// File-access phase (both directions)
+// ---------------------------------------------------------------------------
+
+pfs::WriteOp Engine::start_io(int slot, const Plan::Range& r, bool async,
+                              int attempt) {
+  const std::span<std::byte> buf = cb_span(slot).subspan(0, r.size());
+  if (dir_ == Direction::Write) {
+    return file_.start_write(mpi_.ctx(), node_, r.begin, buf, async, attempt);
+  }
+  return file_.start_read(mpi_.ctx(), node_, r.begin, buf, async, attempt);
+}
 
 sim::Duration Engine::backoff_delay(int cycle, int attempt) const {
   const int exp = std::min(attempt - 1, 16);
@@ -620,8 +816,9 @@ sim::Duration Engine::backoff_delay(int cycle, int attempt) const {
   // Jitter is a pure function of (fault seed, rank, cycle, attempt) — no
   // shared stream, so the schedule is identical at any worker count.
   sim::Rng rng(sim::Rng::derive_seed(
-      sim::Rng::derive_seed(file_.faults().params().seed ^ 0xB0FFull,
-                            static_cast<std::uint64_t>(mpi_.rank())),
+      sim::Rng::derive_seed(
+          file_.faults().params().seed ^ traits_.backoff_salt,
+          static_cast<std::uint64_t>(mpi_.rank())),
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cycle)) << 8) ^
           static_cast<std::uint64_t>(attempt)));
   return scaled +
@@ -632,8 +829,7 @@ sim::Duration Engine::backoff_delay(int cycle, int attempt) const {
 void Engine::retry_backoff(int cycle, int attempt) {
   ++faults_.retries;
   const sim::Duration d = backoff_delay(cycle, attempt);
-  ScopedTraceEvent ev_(opt_.trace, "write_retry", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
+  ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), traits_.retry, cycle);
   timed(mpi_.ctx(), t_.backoff, [&] { mpi_.ctx().advance(d); });
 }
 
@@ -645,13 +841,15 @@ void Engine::give_up(const char* what, int cycle) {
                 std::to_string(cycle) + ", rank " +
                 std::to_string(mpi_.rank()) + ")";
   }
-  ScopedTraceEvent ev_(opt_.trace, "write_giveup", cycle, mpi_.ctx().now());
-  ev_.finish(mpi_.ctx().now());
+  ScopedTraceEvent(opt_.trace, mpi_.ctx(), traits_.giveup, cycle).finish();
 }
 
 void Engine::observe_async_write(int cycle, sim::Duration d,
                                  std::uint64_t bytes) {
-  if (opt_.degrade_slowdown <= 1.0 || degraded_ || bytes == 0) return;
+  if (dir_ != Direction::Write || opt_.degrade_slowdown <= 1.0 || degraded_ ||
+      bytes == 0) {
+    return;
+  }
   const double per_byte = static_cast<double>(d) / static_cast<double>(bytes);
   if (best_write_ns_per_byte_ <= 0.0 || per_byte < best_write_ns_per_byte_) {
     best_write_ns_per_byte_ = per_byte;
@@ -661,222 +859,245 @@ void Engine::observe_async_write(int cycle, sim::Duration d,
     // This aggregator's storage path has gone pathological (straggling
     // server): abandon the aio pipeline, drain remaining cycles blocking.
     degraded_ = true;
-    ScopedTraceEvent ev_(opt_.trace, "degrade", cycle, mpi_.ctx().now());
-    ev_.finish(mpi_.ctx().now());
+    ScopedTraceEvent(opt_.trace, mpi_.ctx(), "degrade", cycle).finish();
   }
 }
 
-void Engine::write_init(int cycle, int slot) {
+void Engine::io_attempts(int cycle, int slot, const Plan::Range& r,
+                         int first) {
+  // Attempt, and on transient failure back off and re-issue until success
+  // or give-up. Re-issues after a failed asynchronous attempt are blocking
+  // too — the pipeline is already stalled on this cycle, queueing another
+  // aio behind a flaky server helps nobody — and each is traced as a
+  // blocking access of its own.
+  for (int attempt = first;; ++attempt) {
+    if (attempt > opt_.max_retries + 1) {
+      give_up(first > 1 ? traits_.async_giveup : traits_.blocking_giveup,
+              cycle);
+      return;
+    }
+    if (attempt > 1) retry_backoff(cycle, attempt - 1);
+    ScopedTraceEvent ev(first > 1 ? opt_.trace : nullptr, mpi_.ctx(),
+                        traits_.blocking, cycle);
+    pfs::IoStatus st = pfs::IoStatus::Ok;
+    timed(mpi_.ctx(), t_.write, [&] {
+      pfs::WriteOp op = start_io(slot, r, /*async=*/false, attempt);
+      // A blocking pwrite/pread keeps this rank out of the MPI progress
+      // engine for its whole duration — the effect the paper identifies as
+      // the weakness of communication-only overlap.
+      mpi_.set_unavailable_until(op.completion());
+      st = file_.wait(mpi_.ctx(), op);
+    });
+    if (st == pfs::IoStatus::Ok) return;
+  }
+}
+
+void Engine::io_init(int cycle, int slot) {
   Slot& s = slots_[slot];
-  TPIO_CHECK(!s.wr.valid(), "write_init with an outstanding write on slot");
-  TPIO_CHECK(!s.sh.pending, "write_init while the sub-buffer is shuffling");
-  if (my_agg_ < 0) return;  // non-aggregator: no write, no trace event
+  TPIO_CHECK(!s.io.valid(), "io_init with an outstanding access on slot");
+  TPIO_CHECK(!s.sh.pending, "io_init on a sub-buffer in its comm stage");
+  s.io_cycle = cycle;
+  if (my_agg_ < 0) return;  // non-aggregator: no access, no trace event
   const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
   if (r.size() == 0) return;
   if (degraded_) {
     // Degraded mode: the aio path on this aggregator is pathological —
     // drain the cycle blocking instead of queueing behind the straggler.
-    // The scheduler's later write_wait finds no outstanding op.
+    // The scheduler's later io_wait finds no outstanding op.
     ++faults_.degraded_cycles;
-    ScopedTraceEvent ev_(opt_.trace, "write_degraded", cycle,
-                         mpi_.ctx().now());
-    struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-    write_attempts(cycle, slot, r);
+    ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), "write_degraded", cycle);
+    io_attempts(cycle, slot, r, /*first=*/1);
     return;
   }
-  ScopedTraceEvent ev_(opt_.trace, "write_init", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-  s.wr_cycle = cycle;
-  s.wr_submit = mpi_.ctx().now();
-  s.wr_bytes = r.size();
-  timed(mpi_.ctx(), t_.write, [&] {
-    s.wr = file_.start_write(mpi_.ctx(), node_, r.begin,
-                             cb_span(slot).subspan(0, r.size()),
-                             /*async=*/true);
-  });
+  ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), traits_.init, cycle);
+  s.io_submit = mpi_.ctx().now();
+  s.io_bytes = r.size();
+  timed(mpi_.ctx(), t_.write,
+        [&] { s.io = start_io(slot, r, /*async=*/true, /*attempt=*/1); });
 }
 
-void Engine::write_wait(int slot) {
+void Engine::io_wait(int slot) {
   Slot& s = slots_[slot];
-  if (!s.wr.valid()) return;  // non-aggregator or empty cycle: no trace event
-  const int cycle = s.wr_cycle;
+  if (!s.io.valid()) return;  // non-aggregator or empty cycle: no trace event
+  const int cycle = s.io_cycle;
   pfs::IoStatus st = pfs::IoStatus::Ok;
   {
-    ScopedTraceEvent ev_(opt_.trace, "write_wait", cycle, mpi_.ctx().now());
-    struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-    const sim::Time done = s.wr.completion();
-    timed(mpi_.ctx(), t_.write, [&] { st = file_.wait(mpi_.ctx(), s.wr); });
+    ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), traits_.wait, cycle);
+    const sim::Time done = s.io.completion();
+    timed(mpi_.ctx(), t_.write, [&] { st = file_.wait(mpi_.ctx(), s.io); });
     if (st == pfs::IoStatus::Ok) {
-      observe_async_write(cycle, done - s.wr_submit, s.wr_bytes);
+      observe_async_write(cycle, done - s.io_submit, s.io_bytes);
     }
   }
-  s.wr_cycle = -1;
   if (st == pfs::IoStatus::Ok) return;
-
   // The asynchronous attempt bounced. The sub-buffer still holds the
-  // cycle's payload (the scheduler only reuses a slot after this wait), so
-  // re-issue from it — blocking, like a degraded rewrite: the pipeline is
-  // already stalled on this cycle, queueing another aio behind a flaky
-  // server helps nobody.
-  const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
-  for (int attempt = 2;; ++attempt) {
-    if (attempt > opt_.max_retries + 1) {
-      give_up("async write", cycle);
-      return;
-    }
-    retry_backoff(cycle, attempt - 1);
-    ScopedTraceEvent ev_(opt_.trace, "write_blocking", cycle,
-                         mpi_.ctx().now());
-    struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-    timed(mpi_.ctx(), t_.write, [&] {
-      pfs::WriteOp op = file_.start_write(mpi_.ctx(), node_, r.begin,
-                                          cb_span(slot).subspan(0, r.size()),
-                                          /*async=*/false, attempt);
-      mpi_.set_unavailable_until(op.completion());
-      st = file_.wait(mpi_.ctx(), op);
-    });
-    if (st == pfs::IoStatus::Ok) return;
-  }
+  // cycle's payload (or still awaits it, reading): the scheduler only
+  // reuses a slot after this wait. Continue from attempt 2.
+  io_attempts(cycle, slot, plan_.cycle_range(my_agg_, cycle), /*first=*/2);
 }
 
-void Engine::write_attempts(int cycle, int slot, const Plan::Range& r) {
-  // Bounded-retry blocking write of [r.begin, r.end) from the slot's
-  // sub-buffer: attempt, and on transient failure back off and re-issue
-  // until success or give-up.
-  for (int attempt = 1;; ++attempt) {
-    if (attempt > opt_.max_retries + 1) {
-      give_up("blocking write", cycle);
-      return;
-    }
-    if (attempt > 1) retry_backoff(cycle, attempt - 1);
-    pfs::IoStatus st = pfs::IoStatus::Ok;
-    timed(mpi_.ctx(), t_.write, [&] {
-      pfs::WriteOp op = file_.start_write(mpi_.ctx(), node_, r.begin,
-                                          cb_span(slot).subspan(0, r.size()),
-                                          /*async=*/false, attempt);
-      // A blocking pwrite keeps this rank out of the MPI progress engine
-      // for its whole duration — the effect the paper identifies as the
-      // weakness of communication-only overlap.
-      mpi_.set_unavailable_until(op.completion());
-      st = file_.wait(mpi_.ctx(), op);
-    });
-    if (st == pfs::IoStatus::Ok) return;
-  }
-}
-
-void Engine::write_blocking(int cycle, int slot) {
+void Engine::io_blocking(int cycle, int slot) {
   Slot& s = slots_[slot];
-  TPIO_CHECK(!s.wr.valid(), "blocking write with an outstanding write on slot");
-  TPIO_CHECK(!s.sh.pending, "blocking write while the sub-buffer is shuffling");
-  if (my_agg_ < 0) return;  // non-aggregator: no write, no trace event
+  TPIO_CHECK(!s.io.valid(), "blocking access with an outstanding one on slot");
+  TPIO_CHECK(!s.sh.pending,
+             "blocking access on a sub-buffer in its comm stage");
+  s.io_cycle = cycle;
+  if (my_agg_ < 0) return;  // non-aggregator: no access, no trace event
   const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
   if (r.size() == 0) return;
-  ScopedTraceEvent ev_(opt_.trace, "write_blocking", cycle, mpi_.ctx().now());
-  struct F_ { ScopedTraceEvent& e; smpi::Mpi& m; ~F_() { e.finish(m.ctx().now()); } } f_{ev_, mpi_};
-  write_attempts(cycle, slot, r);
+  ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), traits_.blocking, cycle);
+  io_attempts(cycle, slot, r, /*first=*/1);
 }
 
 // ---------------------------------------------------------------------------
-// Overlap schedulers (Algorithms 1-4 of the paper + the baseline)
+// Overlap schedulers (Algorithms 1-4 of the paper + the baseline), written
+// once over the stage pair up_ -> down_
 // ---------------------------------------------------------------------------
+
+void Engine::stage_init(Stage st, int cycle, int slot) {
+  if (st == Stage::Io) {
+    io_init(cycle, slot);
+  } else if (dir_ == Direction::Write) {
+    shuffle_init(cycle, slot);
+  } else {
+    scatter_init(cycle, slot);
+  }
+}
+
+void Engine::stage_wait(Stage st, int slot) {
+  if (st == Stage::Io) {
+    io_wait(slot);
+  } else if (dir_ == Direction::Write) {
+    shuffle_wait(slot);
+  } else {
+    scatter_wait(slot);
+  }
+}
+
+void Engine::stage_blocking(Stage st, int cycle, int slot) {
+  if (st == Stage::Io) {
+    io_blocking(cycle, slot);
+  } else {
+    stage_init(st, cycle, slot);
+    stage_wait(st, slot);
+  }
+}
 
 void Engine::run() {
   if (plan_.num_cycles() == 0) return;
-  if (opt_.overlap == OverlapMode::Auto) {
+  if (opt_.overlap != OverlapMode::Auto) {
+    run_scheduler(opt_.overlap, 0);
+  } else if (dir_ == Direction::Write) {
     run_auto();
-    return;
+  } else {
+    // Probe-based selection is a write-side feature (the paper's analysis
+    // is of collective writes); reads run the data-flow scheduler.
+    run_scheduler(OverlapMode::WriteComm2, 0);
   }
-  run_scheduler(opt_.overlap, 0);
 }
 
 void Engine::run_scheduler(OverlapMode m, int first) {
   switch (m) {
-    case OverlapMode::None: run_none(first); return;
-    case OverlapMode::Comm: run_comm(first); return;
-    case OverlapMode::Write: run_write(first); return;
-    case OverlapMode::WriteComm: run_write_comm(first); return;
-    case OverlapMode::WriteComm2: run_write_comm2(first); return;
+    case OverlapMode::None: run_serial(first); return;
+    case OverlapMode::Comm:
+    case OverlapMode::Write: {
+      // Algorithms 1 and 2 make one stage non-blocking — the comm stage or
+      // the file access. Which end of the pipeline that is depends on the
+      // direction: the only direction-dependent line of the schedulers.
+      const Stage async = m == OverlapMode::Comm ? Stage::Comm : Stage::Io;
+      if (async == up_) {
+        run_async_up(first);
+      } else {
+        run_async_down(first);
+      }
+      return;
+    }
+    case OverlapMode::WriteComm: run_joint(first); return;
+    case OverlapMode::WriteComm2: run_dataflow(first); return;
     case OverlapMode::Auto: break;  // not a fixed scheduler
   }
   tpio::fail("run_scheduler needs a fixed overlap mode");
 }
 
-void Engine::run_none(int first) {
+void Engine::run_serial(int first) {
   // Classic two-phase: fully serial. As the Auto continuation (first > 0)
   // the plan keeps the split-buffer geometry, so slots alternate; every
   // operation is blocking either way.
   for (int c = first; c < plan_.num_cycles(); ++c) {
-    shuffle_blocking(c, slot_of(c));
-    write_blocking(c, slot_of(c));
+    stage_blocking(up_, c, slot_of(c));
+    stage_blocking(down_, c, slot_of(c));
   }
 }
 
-void Engine::run_comm(int first) {
-  // Algorithm 1 (Communication Overlap): non-blocking shuffle, blocking
-  // write. The next cycle's shuffle runs behind the current write.
+void Engine::run_async_up(int first) {
+  // Non-blocking upstream, blocking downstream (writing: Algorithm 1,
+  // Communication Overlap; reading: read-ahead). The next cycle's upstream
+  // stage runs behind the current downstream one.
   const int N = plan_.num_cycles();
-  shuffle_init(first, slot_of(first));
+  stage_init(up_, first, slot_of(first));
   for (int c = first; c + 1 < N; ++c) {
-    shuffle_init(c + 1, slot_of(c + 1));
-    shuffle_wait(slot_of(c));
-    write_blocking(c, slot_of(c));
+    stage_init(up_, c + 1, slot_of(c + 1));
+    stage_wait(up_, slot_of(c));
+    stage_blocking(down_, c, slot_of(c));
   }
-  shuffle_wait(slot_of(N - 1));
-  write_blocking(N - 1, slot_of(N - 1));
+  stage_wait(up_, slot_of(N - 1));
+  stage_blocking(down_, N - 1, slot_of(N - 1));
 }
 
-void Engine::run_write(int first) {
-  // Algorithm 2 (Write Overlap): blocking shuffle, asynchronous write. The
-  // previous cycle's write drains while the next shuffle runs.
+void Engine::run_async_down(int first) {
+  // Blocking upstream, non-blocking downstream (writing: Algorithm 2,
+  // Write Overlap; reading: non-blocking scatter). The previous cycle's
+  // downstream stage drains while the next upstream one runs.
   const int N = plan_.num_cycles();
-  shuffle_blocking(first, slot_of(first));
-  write_init(first, slot_of(first));
+  stage_blocking(up_, first, slot_of(first));
+  stage_init(down_, first, slot_of(first));
   for (int c = first + 1; c < N; ++c) {
-    shuffle_blocking(c, slot_of(c));
-    write_init(c, slot_of(c));
-    write_wait(slot_of(c - 1));
+    stage_blocking(up_, c, slot_of(c));
+    stage_init(down_, c, slot_of(c));
+    stage_wait(down_, slot_of(c - 1));
   }
-  write_wait(slot_of(N - 1));
+  stage_wait(down_, slot_of(N - 1));
 }
 
-void Engine::run_write_comm(int first) {
-  // Algorithm 3 (Write-Communication Overlap): asynchronous write and
-  // non-blocking shuffle posted together, then a joint wait.
+void Engine::run_joint(int first) {
+  // Algorithm 3 (Write-Communication Overlap): both stages non-blocking,
+  // posted together, then a joint wait.
   const int N = plan_.num_cycles();
-  shuffle_blocking(first, slot_of(first));
+  stage_blocking(up_, first, slot_of(first));
   for (int c = first; c < N; ++c) {
-    write_init(c, slot_of(c));
-    if (c + 1 < N) shuffle_init(c + 1, slot_of(c + 1));
-    // wait_all(p1, p2): both the write and the shuffle must finish before
-    // the buffers swap. Completing the shuffle first lets its aggregator-
-    // side unpack overlap the tail of the in-flight write.
-    if (c + 1 < N) shuffle_wait(slot_of(c + 1));
-    write_wait(slot_of(c));
+    stage_init(down_, c, slot_of(c));
+    if (c + 1 < N) stage_init(up_, c + 1, slot_of(c + 1));
+    // wait_all(p1, p2): both operations must finish before the buffers
+    // swap. Completing the upstream one first lets its tail (a shuffle's
+    // aggregator-side unpack) overlap the in-flight downstream one.
+    if (c + 1 < N) stage_wait(up_, slot_of(c + 1));
+    stage_wait(down_, slot_of(c));
   }
 }
 
-void Engine::run_write_comm2(int first) {
+void Engine::run_dataflow(int first) {
   // Algorithm 4 (Write-Communication-2 Overlap), data-flow interpretation:
   // the completion of any non-blocking operation immediately posts its
-  // follow-up (write after its shuffle, shuffle after the write that frees
-  // its sub-buffer) instead of Algorithm 3's joint wait.
+  // follow-up (the downstream stage after its upstream one, the upstream
+  // stage after the downstream one that frees its sub-buffer) instead of
+  // Algorithm 3's joint wait.
   //
   // The paper's listing contains an apparent typo (line 11 re-issues
   // write_init(p1) right before waiting on it); we implement the stated
   // intent — see DESIGN.md, "Notes on fidelity".
   const int N = plan_.num_cycles();
-  shuffle_blocking(first, slot_of(first));
-  write_init(first, slot_of(first));
-  if (first + 1 < N) shuffle_init(first + 1, slot_of(first + 1));
+  stage_blocking(up_, first, slot_of(first));
+  stage_init(down_, first, slot_of(first));
+  if (first + 1 < N) stage_init(up_, first + 1, slot_of(first + 1));
   for (int c = first + 1; c < N; ++c) {
-    shuffle_wait(slot_of(c));          // shuffle c finished ...
-    write_init(c, slot_of(c));         // ... so its write posts immediately
-    write_wait(slot_of(c - 1));        // write c-1 frees sub-buffer ...
+    stage_wait(up_, slot_of(c));         // upstream c finished ...
+    stage_init(down_, c, slot_of(c));    // ... so its downstream posts
+    stage_wait(down_, slot_of(c - 1));   // downstream c-1 frees its slot ...
     if (c + 1 < N) {
-      shuffle_init(c + 1, slot_of(c + 1));  // ... so shuffle c+1 posts
+      stage_init(up_, c + 1, slot_of(c + 1));  // ... so upstream c+1 posts
     }
   }
-  write_wait(slot_of(N - 1));
+  stage_wait(down_, slot_of(N - 1));
 }
 
 void Engine::run_auto() {
@@ -913,12 +1134,12 @@ void Engine::run_auto() {
     shuffle_ns += mpi_.ctx().now() - s0;
     const sim::Time w0 = mpi_.ctx().now();
     if (c % 2 == 0) {
-      write_blocking(c, slot);
+      io_blocking(c, slot);
       write_block_ns += mpi_.ctx().now() - w0;
       ++nblock;
     } else {
-      write_init(c, slot);
-      write_wait(slot);
+      io_init(c, slot);
+      io_wait(slot);
       write_async_ns += mpi_.ctx().now() - w0;
       ++nasync;
     }
@@ -951,13 +1172,19 @@ void Engine::run_auto() {
 }
 
 // ---------------------------------------------------------------------------
-// Facade
+// Facades
 // ---------------------------------------------------------------------------
 
-Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
-                        std::span<const std::byte> data, const Options& opt) {
+namespace {
+
+/// One two-phase collective in direction `dir`: metadata exchange, plan,
+/// engine run. Exactly one of `data` (write) and `out` (read) is used.
+Result run_collective(Direction dir, smpi::Mpi& mpi, pfs::File& file,
+                      const FileView& view, std::span<const std::byte> data,
+                      std::span<std::byte> out, const Options& opt) {
   view.validate();
-  TPIO_CHECK(data.size() == view.total_bytes(),
+  TPIO_CHECK((dir == Direction::Write ? data.size() : out.size()) ==
+                 view.total_bytes(),
              "local buffer size does not match the file view");
 
   Result res;
@@ -982,15 +1209,16 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   const net::Topology& topo = mpi.machine().fabric().topology();
   const std::uint64_t stripe = file.stripe_size();
 
-  // Warm start (OverlapMode::Auto + tuning cache): resolve the cached
-  // decision before planning, so a hit runs the chosen scheduler with its
-  // native buffer geometry — a fixed-mode plan, not Auto's split
+  // Warm start (writes, OverlapMode::Auto + tuning cache): resolve the
+  // cached decision before planning, so a hit runs the chosen scheduler
+  // with its native buffer geometry — a fixed-mode plan, not Auto's split
   // sub-buffers. Rank 0 consults the host file and broadcasts, so every
   // rank replans identically even if cache files diverge across (real)
   // nodes; the broadcast costs virtual time (meta) like any collective.
   Options eff = opt;
   AutoDecision warm;
-  if (opt.overlap == OverlapMode::Auto && !opt.tuning_cache.empty()) {
+  if (dir == Direction::Write && opt.overlap == OverlapMode::Auto &&
+      !opt.tuning_cache.empty()) {
     std::uint64_t global_bytes = 0;
     for (const ViewSummary& s : summaries) global_bytes += s.total_bytes;
     const std::string key =
@@ -1020,10 +1248,11 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
       PlanCache::get_or_build_skeleton(summaries, topo, stripe, eff);
 
   // Stage 2: targeted delivery of the full view blobs. Aggregators plan
-  // over every source (their incoming_segments walk all views); lane
-  // leaders additionally unpack their members' gather pieces, so they pull
-  // their lane's rank interval (the whole node at co = 1, where the lane
-  // is the node); everyone else keeps only its own view.
+  // over every source (their shuffle receives and scatter sends walk all
+  // views); lane leaders additionally unpack their members' gather
+  // pieces, so they pull their lane's rank interval (the whole node at
+  // co = 1, where the lane is the node); everyone else keeps only its own
+  // view.
   const int me = mpi.rank();
   const int P = topo.nprocs();
   int want_b = 0, want_e = 0;
@@ -1055,7 +1284,9 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   }
   t.meta += mpi.ctx().now() - meta_start;
 
-  Engine engine(mpi, file, *plan, data, eff, t);
+  Engine engine = dir == Direction::Write
+                      ? Engine(mpi, file, *plan, data, eff, t)
+                      : Engine::reader(mpi, file, *plan, out, eff, t);
   engine.run();
 
   t.total = mpi.ctx().now() - start;
@@ -1070,6 +1301,33 @@ Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
   res.bytes_local = view.total_bytes();
   res.bytes_global = plan->global_bytes();
   return res;
+}
+
+}  // namespace
+
+Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
+                        std::span<const std::byte> data, const Options& opt) {
+  return run_collective(Direction::Write, mpi, file, view, data, {}, opt);
+}
+
+Result collective_read(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
+                       std::span<std::byte> out, const Options& opt) {
+  // Reject what the read direction does not implement before the first
+  // collective, so every rank fails at once instead of mid-run.
+  if (opt.transfer != Transfer::TwoSided) {
+    tpio::fail(std::string("collective_read: Options::transfer = ") +
+               to_string(opt.transfer) +
+               " is not supported; reads scatter two-sided");
+  }
+  if (opt.hierarchical) {
+    tpio::fail("collective_read: Options::hierarchical is not supported; "
+               "reads scatter flat");
+  }
+  if (opt.local_aggregators > 1) {
+    tpio::fail("collective_read: Options::local_aggregators > 1 is not "
+               "supported; reads scatter flat");
+  }
+  return run_collective(Direction::Read, mpi, file, view, {}, out, opt);
 }
 
 }  // namespace tpio::coll

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "sched/conductor.hpp"
 #include "simbase/time.hpp"
 
 namespace tpio::coll {
@@ -41,18 +42,30 @@ class Trace {
   std::vector<TraceEvent> events_;
 };
 
-/// RAII recorder used by the engines; no-op when trace == nullptr.
+/// RAII recorder used by the engine: records [construction, destruction)
+/// on the rank's virtual clock, or [construction, finish()) for an instant
+/// event closed early. No-op when trace == nullptr.
 class ScopedTraceEvent {
  public:
-  ScopedTraceEvent(Trace* t, const char* name, int cycle, sim::Time begin)
-      : trace_(t), name_(name), cycle_(cycle), begin_(begin) {}
-  void finish(sim::Time end) {
-    if (trace_ != nullptr) trace_->add(name_, cycle_, begin_, end);
+  ScopedTraceEvent(Trace* t, const sim::RankCtx& clock, const char* name,
+                   int cycle)
+      : trace_(t),
+        clock_(clock),
+        name_(name),
+        cycle_(cycle),
+        begin_(t != nullptr ? clock.now() : 0) {}
+  ScopedTraceEvent(const ScopedTraceEvent&) = delete;
+  ScopedTraceEvent& operator=(const ScopedTraceEvent&) = delete;
+  ~ScopedTraceEvent() { finish(); }
+
+  void finish() {
+    if (trace_ != nullptr) trace_->add(name_, cycle_, begin_, clock_.now());
     trace_ = nullptr;
   }
 
  private:
   Trace* trace_;
+  const sim::RankCtx& clock_;
   const char* name_;
   int cycle_;
   sim::Time begin_;

@@ -73,7 +73,7 @@ TEST(EngineWhitebox, ManualPhaseSequenceWritesCorrectly) {
     // Hand-rolled no-overlap schedule on the two-slot engine.
     for (int c = 0; c < plan.num_cycles(); ++c) {
       engine.shuffle_blocking(c, c % 2);
-      engine.write_blocking(c, c % 2);
+      engine.io_blocking(c, c % 2);
     }
   });
   EXPECT_EQ(file->verify(file_byte), "");
@@ -86,7 +86,7 @@ TEST(EngineWhitebox, ShuffleIntoPendingWriteThrows) {
             [](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi&) {
               ASSERT_GE(plan.num_cycles(), 2);
               e.shuffle_blocking(0, 0);
-              e.write_init(0, 0);
+              e.io_init(0, 0);
               // Refilling slot 0 while its write is in flight is the bug
               // class the double-buffer invariant catches.
               e.shuffle_init(1, 0);
@@ -120,7 +120,7 @@ TEST(EngineWhitebox, WriteInitDuringShuffleThrows) {
       drive(cluster, two_slot_options(), 6000,
             [](coll::Engine& e, const coll::Plan&, tpio::smpi::Mpi&) {
               e.shuffle_init(0, 0);
-              e.write_init(0, 0);  // sub-buffer still filling
+              e.io_init(0, 0);  // sub-buffer still filling
             }),
       tpio::Error);
 }
@@ -132,8 +132,8 @@ TEST(EngineWhitebox, DoubleWriteInitThrows) {
             [](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi&) {
               ASSERT_GE(plan.num_cycles(), 2);
               e.shuffle_blocking(0, 0);
-              e.write_init(0, 0);
-              e.write_init(1, 0);
+              e.io_init(0, 0);
+              e.io_init(1, 0);
             }),
       tpio::Error);
 }
@@ -152,14 +152,14 @@ TEST(EngineWhitebox, AsyncWritePipelinesAcrossSlots) {
           [&](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi& mpi) {
             ASSERT_GE(plan.num_cycles(), 2);
             e.shuffle_blocking(0, 0);
-            e.write_init(0, 0);
+            e.io_init(0, 0);
             e.shuffle_blocking(1, 1);  // overlaps write 0
-            e.write_init(1, 1);
-            e.write_wait(0);
-            e.write_wait(1);
+            e.io_init(1, 1);
+            e.io_wait(0);
+            e.io_wait(1);
             for (int c = 2; c < plan.num_cycles(); ++c) {
               e.shuffle_blocking(c, c % 2);
-              e.write_blocking(c, c % 2);
+              e.io_blocking(c, c % 2);
             }
             if (mpi.rank() == 0) t_inter = mpi.ctx().now();
           });
@@ -169,7 +169,7 @@ TEST(EngineWhitebox, AsyncWritePipelinesAcrossSlots) {
           [&](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi& mpi) {
             for (int c = 0; c < plan.num_cycles(); ++c) {
               e.shuffle_blocking(c, c % 2);
-              e.write_blocking(c, c % 2);
+              e.io_blocking(c, c % 2);
             }
             if (mpi.rank() == 0) t_serial = mpi.ctx().now();
           });
@@ -222,7 +222,7 @@ TEST(EngineWhitebox, RunMatchesManualSchedule) {
           [&](coll::Engine& e, const coll::Plan& plan, tpio::smpi::Mpi& mpi) {
             for (int c = 0; c < plan.num_cycles(); ++c) {
               e.shuffle_blocking(c, 0);
-              e.write_blocking(c, 0);
+              e.io_blocking(c, 0);
             }
             if (mpi.rank() == 0) t = mpi.ctx().now();
           });
