@@ -148,6 +148,33 @@ TEST(CollectiveReadMisc, OneSidedScatterRejected) {
                tpio::Error);
 }
 
+TEST(CollectiveReadMisc, HierarchicalReadRejectedNamingTheOption) {
+  // The read direction scatters flat: hierarchy and co lanes are refused
+  // at entry, before any collective, with the option named.
+  for (const int co : {1, 2}) {
+    Cluster cluster;
+    auto file = cluster.storage().create("rt", pfs::Integrity::Store);
+    try {
+      cluster.run([&](tpio::smpi::Mpi& mpi) {
+        coll::FileView v = block_view(mpi.rank(), 512);
+        std::vector<std::byte> out(512);
+        coll::Options o;
+        o.hierarchical = co == 1;
+        o.local_aggregators = co;
+        coll::collective_read(mpi, *file, v, out, o);
+      });
+      ADD_FAILURE() << "co = " << co << ": read was not rejected";
+    } catch (const tpio::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(co == 1
+                                               ? "Options::hierarchical"
+                                               : "Options::local_aggregators"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(cluster.conductor().makespan(), 0) << "co = " << co;
+  }
+}
+
 TEST(CollectiveReadMisc, UnwrittenRegionsReadZero) {
   Cluster cluster;
   auto file = cluster.storage().create("rt", pfs::Integrity::Store);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/read_engine.hpp"
 #include "core/trace.hpp"
 #include "test_rig.hpp"
 
@@ -45,6 +46,60 @@ std::vector<int> event_cycles(const coll::Trace& t, const std::string& name) {
     if (std::string(e.name) == name) out.push_back(e.cycle);
   }
   return out;
+}
+
+struct ReadRun {
+  std::vector<coll::Result> results;
+  std::vector<std::vector<std::byte>> out;
+  sim::Time makespan = 0;
+};
+
+/// Writes strided views, then reads them back with read-ahead, each rank
+/// recording into (*traces)[rank] unless `traces` is null. Every first
+/// file attempt fails, so the read's retries show up in the trace.
+ReadRun read_run(std::vector<coll::Trace>* traces) {
+  tpio::test::ClusterSpec cs;
+  cs.pfs.faults.fail_until_attempt = 2;
+  Cluster cluster(cs);
+  const auto n = static_cast<std::size_t>(cluster.nprocs());
+  if (traces != nullptr) traces->assign(n, coll::Trace{});
+  ReadRun run;
+  run.results.resize(n);
+  run.out.resize(n);
+  auto file = cluster.storage().create("tr", pfs::Integrity::Store);
+  cluster.run([&](tpio::smpi::Mpi& mpi) {
+    const auto r = static_cast<std::size_t>(mpi.rank());
+    coll::FileView v;
+    for (int row = 0; row < 12; ++row) {
+      v.extents.push_back(coll::Extent{
+          (static_cast<std::uint64_t>(row) * n + r) * 1000, 1000});
+    }
+    const auto data = fill_view(v);
+    coll::Options o;
+    o.cb_size = 16384;
+    coll::collective_write(mpi, *file, v, data, o);
+    o.overlap = coll::OverlapMode::Write;
+    if (traces != nullptr) o.trace = &(*traces)[r];
+    run.out[r].resize(v.total_bytes());
+    run.results[r] = coll::collective_read(mpi, *file, v, run.out[r], o);
+  });
+  run.makespan = cluster.conductor().makespan();
+  return run;
+}
+
+std::string describe(const coll::Result& r) {
+  const coll::PhaseTimings& t = r.timings;
+  std::string s;
+  for (const sim::Duration d : {t.meta, t.pack, t.gather, t.forward, t.shuffle,
+                                t.sync, t.write, t.backoff, t.total}) {
+    s += std::to_string(d) + " ";
+  }
+  for (const int i : {r.aggregators, r.cycles, r.faults.retries,
+                      r.faults.giveups, r.faults.degraded_cycles}) {
+    s += std::to_string(i) + " ";
+  }
+  return s + std::to_string(r.bytes_local) + " " +
+         std::to_string(r.bytes_global) + " " + r.io_error;
 }
 
 }  // namespace
@@ -231,4 +286,35 @@ TEST(Trace, NullTraceIsFreeOfEvents) {
     coll::collective_write(mpi, *file, v, data, o);
   });
   SUCCEED();  // merely must not crash
+}
+
+TEST(Trace, ReadRecordsReadAndScatterEventsAndKeepsItsResult) {
+  std::vector<coll::Trace> traces;
+  const ReadRun traced = read_run(&traces);
+  const ReadRun plain = read_run(nullptr);
+  EXPECT_EQ(traced.makespan, plain.makespan);
+  int readers = 0;
+  for (std::size_t r = 0; r < traces.size(); ++r) {
+    EXPECT_EQ(describe(traced.results[r]), describe(plain.results[r]))
+        << "rank " << r;
+    EXPECT_EQ(traced.out[r], plain.out[r]) << "rank " << r;
+    // Every rank receives its pieces in a scatter per cycle; only the
+    // read is traced, so no write-direction event appears.
+    const auto scatters = event_cycles(traces[r], "scatter_init");
+    EXPECT_EQ(static_cast<int>(scatters.size()), traced.results[r].cycles);
+    EXPECT_EQ(event_cycles(traces[r], "scatter_wait"), scatters);
+    for (const auto& e : traces[r].events()) {
+      const std::string name = e.name;
+      EXPECT_EQ(name.find("write"), std::string::npos) << name;
+      EXPECT_EQ(name.find("shuffle"), std::string::npos) << name;
+    }
+    const auto inits = event_cycles(traces[r], "read_init");
+    if (inits.empty()) continue;
+    ++readers;
+    // Each asynchronous read bounced once and was re-read blocking.
+    EXPECT_EQ(event_cycles(traces[r], "read_wait"), inits);
+    EXPECT_EQ(event_cycles(traces[r], "read_retry"), inits);
+    EXPECT_EQ(event_cycles(traces[r], "read_blocking"), inits);
+  }
+  EXPECT_EQ(readers, traced.results[0].aggregators);
 }

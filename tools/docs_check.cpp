@@ -18,7 +18,12 @@
 //       tpio_sweep command line in a document must be accepted by one of
 //       the CLIs, so a deleted knob cannot live on in the docs, and
 //   (d) experiment coverage — every `bench/fig_*` driver registered in
-//       bench/CMakeLists.txt must have a section in EXPERIMENTS.md.
+//       bench/CMakeLists.txt must have a section in EXPERIMENTS.md, and
+//   (e) source paths — every inline code span naming a `src/...` or
+//       `tests/...` path must match something on disk, relative to the
+//       repository root, after expanding `{a,b}` alternatives and `*`
+//       wildcards (a `:line` suffix is ignored), so a deleted or renamed
+//       source file cannot live on in the docs.
 //
 // Usage: docs_check <repo-root> <build-dir>
 // Exit code 0 = clean; 1 = at least one broken reference (each printed).
@@ -212,6 +217,85 @@ std::set<std::string> command_line_flags(const std::string& text) {
   return out;
 }
 
+// Inline code spans starting with `src/` or `tests/`, cut at the first
+// blank or `:` (line suffixes). Fenced code blocks are skipped; spans may
+// wrap across lines like in rendered markdown.
+std::vector<std::string> source_path_refs(const std::string& text) {
+  std::string prose;
+  bool fenced = false;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t first = line.find_first_not_of(' ');
+    if (first != std::string::npos && line.compare(first, 3, "```") == 0) {
+      fenced = !fenced;
+    } else if (!fenced) {
+      prose += line + "\n";
+    }
+  }
+  std::vector<std::string> out;
+  for (std::size_t open = prose.find('`'); open != std::string::npos;) {
+    const std::size_t close = prose.find('`', open + 1);
+    if (close == std::string::npos) break;
+    std::string span = prose.substr(open + 1, close - open - 1);
+    span = span.substr(0, span.find_first_of(" \n:"));
+    if (span.rfind("src/", 0) == 0 || span.rfind("tests/", 0) == 0) {
+      out.push_back(span);
+    }
+    open = prose.find('`', close + 1);
+  }
+  return out;
+}
+
+// `a{b,c}d{e,f}` -> abde, abdf, acde, acdf.
+std::vector<std::string> expand_braces(const std::string& p) {
+  const std::size_t open = p.find('{');
+  const std::size_t close = p.find('}', open);
+  if (open == std::string::npos || close == std::string::npos) return {p};
+  std::vector<std::string> out;
+  const std::string body = p.substr(open + 1, close - open - 1);
+  const std::vector<std::string> rests = expand_braces(p.substr(close + 1));
+  for (std::size_t b = 0, e = 0; e != std::string::npos; b = e + 1) {
+    e = body.find(',', b);
+    const std::string alt = body.substr(b, e == std::string::npos ? e : e - b);
+    for (const std::string& rest : rests) {
+      out.push_back(p.substr(0, open) + alt + rest);
+    }
+  }
+  return out;
+}
+
+// `*` matches any run of characters within one path component.
+bool glob_match(const char* pat, const char* s) {
+  if (*pat == '\0') return *s == '\0';
+  if (*pat == '*') {
+    return glob_match(pat + 1, s) || (*s != '\0' && glob_match(pat, s + 1));
+  }
+  return *s == *pat && glob_match(pat + 1, s + 1);
+}
+
+// Whether `pattern` (relative to `root`, `*` wildcards allowed in any
+// component) matches at least one existing path.
+bool pattern_exists(const fs::path& root, const std::string& pattern) {
+  std::vector<fs::path> cur = {root};
+  for (const fs::path& part : fs::path(pattern)) {
+    const std::string c = part.string();
+    std::vector<fs::path> next;
+    for (const fs::path& dir : cur) {
+      if (c.find('*') == std::string::npos) {
+        if (fs::exists(dir / c)) next.push_back(dir / c);
+      } else if (fs::is_directory(dir)) {
+        for (const auto& e : fs::directory_iterator(dir)) {
+          if (glob_match(c.c_str(), e.path().filename().string().c_str())) {
+            next.push_back(e.path());
+          }
+        }
+      }
+    }
+    cur = std::move(next);
+  }
+  return !cur.empty();
+}
+
 // Names registered via `tpio_add_bench(<name> ...)`.
 std::vector<std::string> bench_targets(const std::string& cmake_text) {
   std::vector<std::string> out;
@@ -306,6 +390,7 @@ int main(int argc, char** argv) {
   }
 
   // (c') Reverse coverage: what the docs name must still exist.
+  int paths = 0;
   for (const fs::path& doc : docs) {
     const std::string text = slurp(doc);
     const std::string where = doc.lexically_relative(repo).string();
@@ -320,6 +405,16 @@ int main(int argc, char** argv) {
       if (flags.count(flag) == 0) {
         std::cerr << where << ": " << flag
                   << " is accepted by neither tpio_sim nor tpio_sweep\n";
+        ++broken;
+      }
+    }
+    // (e) Source paths named in code spans must exist.
+    for (const std::string& ref : source_path_refs(text)) {
+      for (const std::string& path : expand_braces(ref)) {
+        ++paths;
+        if (pattern_exists(repo, path)) continue;
+        std::cerr << where << ": `" << ref << "` names no file (" << path
+                  << ")\n";
         ++broken;
       }
     }
@@ -340,7 +435,8 @@ int main(int argc, char** argv) {
 
   std::cout << "docs_check: " << docs.size() << " documents, " << links
             << " intra-repo links, " << bins << " binary references, "
-            << knobs << " knobs/flags, " << figs << " fig drivers, " << broken
+            << knobs << " knobs/flags, " << figs << " fig drivers, " << paths
+            << " source paths, " << broken
             << " broken\n";
   return broken == 0 ? 0 : 1;
 }

@@ -1,6 +1,6 @@
-# Runs docs_check over this fixture, whose README names an Options field
-# and a tpio_sim flag that do not exist. Passes only if docs_check exits 1
-# and reports exactly those two rows.
+# Runs docs_check over this fixture, whose README names an Options field,
+# a tpio_sim flag and a source file that do not exist. Passes only if
+# docs_check exits 1 and reports exactly those three rows.
 execute_process(COMMAND "${DOCS_CHECK}" "${FIXTURE}" "${BUILD_DIR}"
                 RESULT_VARIABLE code
                 OUTPUT_VARIABLE out
@@ -10,7 +10,8 @@ if(NOT code EQUAL 1)
   message(FATAL_ERROR "docs_check exited ${code}, expected 1")
 endif()
 foreach(needle "Options::retired_knob is not a field"
-               "--retired-flag is accepted by neither" ", 2 broken")
+               "--retired-flag is accepted by neither"
+               "`src/core/retired_engine.*` names no file" ", 3 broken")
   string(FIND "${err}${out}" "${needle}" at)
   if(at EQUAL -1)
     message(FATAL_ERROR "docs_check output lacks '${needle}'")
