@@ -9,14 +9,15 @@
 // bandwidth-bound, not chain-bound).
 //
 // Reported per cell: write-comm-2 makespan, the intra-node gather
-// critical path (max over ranks of gather time — the only bucket that
-// means the same thing at every co, since co == 1 charges forwards to
-// shuffle), and the pipelined-overlap fraction measured under the
-// comm-overlap scheduler — the one whose call order lets a leader start
-// the next lane gather between posting forwards and waiting on them
-// (write-comm-2 posts and immediately waits, so its per-rank overlap is
-// structurally zero). Self-checks: co == 1 must be bit-identical to the
-// default single-leader run, and every co must land the same bytes.
+// critical path (max over ranks of gather time; forwards are charged to
+// their own bucket at every co, so the chain is comparable across co),
+// and the pipelined-overlap fraction measured under the comm-overlap
+// scheduler — the one whose call order lets a leader start the next lane
+// gather between posting forwards and waiting on them (write-comm-2 posts
+// and immediately waits, so its per-rank overlap is structurally zero).
+// Self-checks: co == 1 must be identical to the default single-leader
+// run, co == ppn to the direct (non-hierarchical) run, and every co must
+// land the same bytes.
 
 #include <cstdio>
 #include <string>
@@ -59,6 +60,9 @@ xp::Platform with_ppn(xp::Platform p, int ppn) {
   return p;
 }
 
+/// One write-comm-2 / comm-overlap run. co == 0 runs the direct shuffle
+/// (no --hierarchical); co == -1 the hierarchical default (no explicit
+/// --local-aggs).
 xp::RunResult run(const xp::Platform& plat, const wl::Spec& workload,
                   int procs, int co, coll::OverlapMode overlap) {
   xp::RunSpec spec;
@@ -67,11 +71,18 @@ xp::RunResult run(const xp::Platform& plat, const wl::Spec& workload,
   spec.nprocs = procs;
   spec.options.cb_size = xp::kCbSize;
   spec.options.overlap = overlap;
-  spec.options.hierarchical = true;
+  spec.options.hierarchical = co != 0;
   spec.options.leader_policy = coll::LeaderPolicy::Spread;
-  spec.options.local_aggregators = co;
+  if (co > 0) spec.options.local_aggregators = co;
   spec.seed = 7;
   return xp::execute(spec);
+}
+
+bool same_run(const xp::RunResult& a, const xp::RunResult& b) {
+  return a.makespan == b.makespan &&
+         a.inter_node_bytes == b.inter_node_bytes &&
+         a.intra_node_bytes == b.intra_node_bytes &&
+         a.rank_sum.total == b.rank_sum.total;
 }
 
 }  // namespace
@@ -121,23 +132,20 @@ int main(int argc, char** argv) {
               run(plat, workload, procs, co, coll::OverlapMode::Comm)
                   .pipelined_overlap);
         }
-        // Self-check: explicit co=1 equals the default single-leader run
-        // bit-for-bit (the differential suite pins every field; the bench
-        // spot-checks the timeline and traffic).
-        xp::RunSpec def;
-        def.platform = plat;
-        def.workload = workload;
-        def.nprocs = procs;
-        def.options.cb_size = xp::kCbSize;
-        def.options.overlap = coll::OverlapMode::WriteComm2;
-        def.options.hierarchical = true;
-        def.options.leader_policy = coll::LeaderPolicy::Spread;
-        def.seed = 7;
-        const xp::RunResult d = xp::execute(def);
-        if (d.makespan != cell.runs[0].makespan ||
-            d.inter_node_bytes != cell.runs[0].inter_node_bytes) {
+        // Self-checks: explicit co=1 equals the default single-leader
+        // run, and co=ppn (the last column) the direct run (the
+        // differential suites pin every field; the bench spot-checks the
+        // timeline and traffic).
+        const auto wc2 = coll::OverlapMode::WriteComm2;
+        if (!same_run(run(plat, workload, procs, -1, wc2), cell.runs[0])) {
           std::printf("FAIL: co=1 is not identical to the single-leader "
                       "run (%s ppn=%d %s)\n",
+                      pname, ppn, sz.label);
+          ok = false;
+        }
+        if (!same_run(run(plat, workload, procs, 0, wc2), cell.runs.back())) {
+          std::printf("FAIL: co=ppn is not identical to the direct run "
+                      "(%s ppn=%d %s)\n",
                       pname, ppn, sz.label);
           ok = false;
         }

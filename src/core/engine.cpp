@@ -98,27 +98,26 @@ Engine::Engine(Direction dir, smpi::Mpi& mpi, pfs::File& file,
   TPIO_CHECK((writing ? data_.size() : out_.size()) ==
                  plan.view(mpi.rank()).total_bytes(),
              "local buffer size does not match the file view");
+  my_agg_ = plan_.agg_index(mpi_.rank());
+  node_ = mpi_.machine().fabric().topology().node_of(mpi_.rank());
+  is_leader_ = plan_.is_leader(mpi_.rank());
+  lane_ = plan_.lane_of(mpi_.rank());
+  const auto [first, last] = plan_.lane_rank_range(node_, lane_);
+  lane_first_ = first;
+  lane_last_ = last;
+  // Pipelined lane mode is an option-level property (uniform across ranks
+  // even where small nodes clamp to fewer lanes): the per-cycle sync
+  // structure must agree job-wide.
+  const int co = plan_.local_aggregators();
+  pipelined_ = co > 1 && co < plan_.topology().procs_per_node;
   TPIO_CHECK(writing || (opt_.transfer == Transfer::TwoSided &&
-                         !opt_.hierarchical),
+                         lane_last_ - lane_first_ == 1),
              "the read direction implements the flat two-sided scatter only");
   // Timing-only mode must never meet a content-recording file: the digest
   // would be computed over unmaterialized bytes.
   TPIO_CHECK(!writing || opt_.materialize ||
                  file_.integrity() == pfs::Integrity::None,
              "Options::materialize == false requires Integrity::None");
-  my_agg_ = plan_.agg_index(mpi_.rank());
-  node_ = mpi_.machine().fabric().topology().node_of(mpi_.rank());
-  if (opt_.hierarchical) {
-    is_leader_ = plan_.is_leader(mpi_.rank());
-    lane_ = plan_.lane_of(mpi_.rank());
-    const auto [first, last] = plan_.lane_rank_range(node_, lane_);
-    lane_first_ = first;
-    lane_last_ = last;
-    // Pipelined lane mode is an option-level property (uniform across
-    // ranks even where small nodes clamp to one lane): the per-cycle sync
-    // structure must agree job-wide.
-    pipelined_ = plan_.local_aggregators() > 1;
-  }
 
   const int nslots = opt_.overlap == OverlapMode::None ? 1 : 2;
   const std::uint64_t sb = plan_.sub_buffer_bytes();
@@ -161,23 +160,13 @@ sim::Duration Engine::pack_cost(std::size_t segs, std::uint64_t bytes) const {
 // Shuffle phase
 // ---------------------------------------------------------------------------
 
-std::vector<Segment> Engine::incoming_segments(int src, std::uint64_t lo,
-                                               std::uint64_t hi) const {
-  if (!opt_.hierarchical) return plan_.segments_in(src, lo, hi);
-  // `src` is a lane leader; its message carries its lane's coalesced
-  // union. One lane per node (co = 1) makes this the node union exactly.
-  return plan_.lane_segments_in(plan_.topology().node_of(src),
-                                plan_.lane_of(src), lo, hi);
-}
-
 void Engine::leader_gather(int cycle, int slot) {
-  if (!opt_.hierarchical) return;
+  if (lane_last_ - lane_first_ <= 1) return;  // single member: direct send
   Slot& s = slots_[slot];
   if (s.gathered_cycle == cycle) return;
   TPIO_CHECK(!s.sh.pending,
              "leader_gather while a shuffle is pending on slot");
   s.gathered_cycle = cycle;
-  if (lane_last_ - lane_first_ <= 1) return;  // degenerate: direct path
 
   const int me = mpi_.rank();
   const int A = plan_.num_aggregators();
@@ -342,7 +331,7 @@ void Engine::leader_gather(int cycle, int slot) {
 }
 
 void Engine::shuffle_init(int cycle, int slot) {
-  leader_gather(cycle, slot);  // hierarchical mode only; no-op otherwise
+  leader_gather(cycle, slot);  // multi-member lanes only; no-op otherwise
   ScopedTraceEvent ev(opt_.trace, mpi_.ctx(), "shuffle_init", cycle);
   Slot& s = slots_[slot];
   TPIO_CHECK(!s.sh.pending, "shuffle_init while a shuffle is pending on slot");
@@ -361,31 +350,22 @@ void Engine::shuffle_init(int cycle, int slot) {
     // senders in lock-step with the aggregators: without it, eager senders
     // race arbitrarily far ahead and pre-deliver future cycles into
     // unexpected-message buffers, which no real implementation allows at
-    // collective-buffer granularity.
-    if (opt_.hierarchical && pipelined_) {
-      // Pipelined lane mode: each lane syncs only among its own members —
-      // the per-(leader, cycle) sub-baton. A lane leader whose gather is
-      // done forwards immediately, without waiting for the node's other
-      // lanes or for other nodes' leaders (no whole-node barrier, no
-      // fabric-wide leader barrier on the per-cycle path).
-      timed(mpi_.ctx(), t_.sync,
-            [&] { mpi_.lane_barrier(lane_, lane_last_ - lane_first_); });
-    } else if (opt_.hierarchical) {
-      // Hierarchical metadata sync: members only need lockstep with their
-      // node leader, leaders with the aggregators — most ranks pay the
-      // cheap shared-memory barrier instead of the O(log P) fabric one.
-      // At one rank per node this decomposes into exactly the flat
-      // barrier (node_barrier is a 1-party no-op, leader_barrier spans
-      // every rank).
-      timed(mpi_.ctx(), t_.sync, [&] {
-        mpi_.node_barrier();
-        if (is_leader_) mpi_.leader_barrier();
-      });
-    } else {
-      timed(mpi_.ctx(), t_.sync, [&] { mpi_.barrier(); });
-    }
-    // Aggregator side: one receive per contributing source — every rank on
-    // the direct path, one per (node, lane) under hierarchy. A source whose
+    // collective-buffer granularity. One rule at every co: each rank joins
+    // its lane's sub-baton (shared-memory cost; a single-member lane has
+    // nobody to wait for), and lane leaders join one barrier over all lane
+    // leaders. co = 1 makes that the node barrier plus the node-leader
+    // barrier, co = ppn the flat barrier. Pipelined lane mode drops the
+    // leaders' barrier: a lane leader whose gather is done forwards at
+    // once, without waiting for the node's other lanes or for other nodes.
+    timed(mpi_.ctx(), t_.sync, [&] {
+      const int members = lane_last_ - lane_first_;
+      if (members > 1) mpi_.lane_barrier(lane_, members);
+      if (is_leader_ && !pipelined_) {
+        mpi_.lane_leader_barrier(plan_.num_lanes());
+      }
+    });
+    // Aggregator side: one receive per lane leader (every rank at co =
+    // ppn), carrying its lane's coalesced union. A source whose
     // contribution is one contiguous piece lands directly at its final
     // position in the collective buffer (no staging, no unpack) — the
     // common case for contiguous workloads like IOR; multi-segment
@@ -394,76 +374,61 @@ void Engine::shuffle_init(int cycle, int slot) {
     if (my_agg_ >= 0) {
       const Plan::Range r = plan_.cycle_range(my_agg_, cycle);
       std::span<std::byte> cb = cb_span(slot);
-      const int nodes = plan_.topology().nodes;
-      int nsrc = mpi_.size();
-      if (opt_.hierarchical) {
-        nsrc = 0;
-        for (int n = 0; n < nodes; ++n) nsrc += plan_.lanes(n);
-      }
-      s.sh.reqs.reserve(static_cast<std::size_t>(nsrc) +
+      const auto nsrc = static_cast<std::size_t>(plan_.num_lanes());
+      s.sh.reqs.reserve(nsrc +
                         static_cast<std::size_t>(plan_.num_aggregators()));
-      s.sh.recv_bufs.reserve(static_cast<std::size_t>(nsrc));
-      const auto post_recv = [&](int src) {
-        auto segs = incoming_segments(src, r.begin, r.end);
-        if (segs.empty()) return;
-        std::span<std::byte> dest;
-        if (segs.size() == 1) {
-          dest = cb.subspan(segs[0].file_offset - r.begin, segs[0].length);
-        } else {
-          std::uint64_t n = 0;
-          for (const Segment& g : segs) n += g.length;
-          RecvStage st;
-          st.buf = sim::BufferPool::local().acquire(n, /*zeroed=*/false);
-          st.segs = std::move(segs);  // reused by shuffle_wait's scatter
-          s.sh.recv_bufs.push_back(std::move(st));
-          dest = s.sh.recv_bufs.back().buf.span();
-        }
-        timed(mpi_.ctx(), t_.shuffle,
-              [&] { s.sh.reqs.push_back(mpi_.irecv(src, tag, dest)); });
-      };
-      if (opt_.hierarchical) {
-        for (int n = 0; n < nodes; ++n) {
-          for (int l = 0; l < plan_.lanes(n); ++l) {
-            post_recv(plan_.lane_leader(n, l));
+      s.sh.recv_bufs.reserve(nsrc);
+      for (int n = 0; n < plan_.topology().nodes; ++n) {
+        for (int l = 0; l < plan_.lanes(n); ++l) {
+          auto segs = plan_.lane_segments_in(n, l, r.begin, r.end);
+          if (segs.empty()) continue;
+          std::span<std::byte> dest;
+          if (segs.size() == 1) {
+            dest = cb.subspan(segs[0].file_offset - r.begin, segs[0].length);
+          } else {
+            std::uint64_t bytes = 0;
+            for (const Segment& g : segs) bytes += g.length;
+            RecvStage st;
+            st.buf = sim::BufferPool::local().acquire(bytes, /*zeroed=*/false);
+            st.segs = std::move(segs);  // reused by shuffle_wait's scatter
+            s.sh.recv_bufs.push_back(std::move(st));
+            dest = s.sh.recv_bufs.back().buf.span();
           }
+          const int src = plan_.lane_leader(n, l);
+          timed(mpi_.ctx(), t_.shuffle,
+                [&] { s.sh.reqs.push_back(mpi_.irecv(src, tag, dest)); });
         }
-      } else {
-        for (int i = 0; i < nsrc; ++i) post_recv(i);
       }
     }
-    if (opt_.hierarchical && lane_last_ - lane_first_ > 1) {
-      // Hierarchical forward: the lane leader sends one contiguous slice of
-      // the staging buffer per destination aggregator, zero-copy (the slice
-      // layout is exactly leader_gather's). Members already handed their
-      // pieces to the leader and send nothing. In pipelined mode the posts
-      // are timed into the forward bucket and the slot remembers the post
-      // instant, feeding the pipelined-overlap stat at shuffle_wait.
+    if (lane_last_ - lane_first_ > 1) {
+      // Lane forward: the leader sends one contiguous slice of the staging
+      // buffer per destination aggregator, zero-copy (the slice layout is
+      // exactly leader_gather's). Members already handed their pieces to
+      // the leader and send nothing. Posts are timed into the forward
+      // bucket; the slot remembers them for shuffle_wait, which charges a
+      // pure leader's wait to forward too and, in pipelined mode, feeds
+      // the pipelined-overlap stat.
       if (is_leader_) {
-        if (pipelined_) {
-          s.fwd_begin = mpi_.ctx().now();
-        }
+        s.fwd_begin = mpi_.ctx().now();
         std::uint64_t base = 0;
-        sim::Duration& bucket = pipelined_ ? t_.forward : t_.shuffle;
         for (int a = 0; a < plan_.num_aggregators(); ++a) {
           const Plan::Range r = plan_.cycle_range(a, cycle);
           const std::uint64_t n =
               plan_.lane_bytes_in(node_, lane_, r.begin, r.end);
           if (n == 0) continue;
           const std::span<const std::byte> payload(s.stage.data() + base, n);
-          timed(mpi_.ctx(), bucket, [&] {
+          timed(mpi_.ctx(), t_.forward, [&] {
             s.sh.reqs.push_back(mpi_.isend(plan_.agg_rank(a), tag, payload));
           });
           base += n;
         }
-        if (pipelined_) {
-          s.fwd_posted = base > 0;
-          s.fwd_post_cost = mpi_.ctx().now() - s.fwd_begin;
-        }
+        s.fwd_posted = base > 0;
+        s.fwd_post_cost = mpi_.ctx().now() - s.fwd_begin;
       }
       return;
     }
-    // Sender side (direct path; also hierarchical single-member nodes): a
-    // single contiguous piece is sent zero-copy from the user buffer;
+    // Sender side (single-member lanes: the direct path): a single
+    // contiguous piece is sent zero-copy from the user buffer;
     // scattered pieces still form one contiguous local run per cycle range
     // (see segcopy.hpp), so they too are sent in place — the pack CPU is
     // charged on the virtual timeline either way.
@@ -521,19 +486,18 @@ void Engine::shuffle_init(int cycle, int slot) {
     timed(mpi_.ctx(), t_.sync, [&] { mpi_.win_fence(*s.win); });
   }
 
-  if (opt_.hierarchical && lane_last_ - lane_first_ > 1) {
-    // Hierarchical one-sided: only lane leaders originate puts — one per
+  if (lane_last_ - lane_first_ > 1) {
+    // One-sided lanes: only lane leaders originate puts — one per
     // coalesced union segment, sourced from the staging buffer. The gather
     // itself stays two-sided intra-node traffic (it models shared-memory
-    // staging, not RMA). With co > 1 the lanes' leaders originate their
-    // puts independently; the fence/barrier epoch structure is global
-    // either way, so there is no per-cycle lane sync here. Put issue time
-    // is charged to the forward bucket in pipelined mode (the lifetime
-    // stat stays two-sided-only: put completion is epoch-based, so no
-    // per-leader forward lifetime exists to measure).
+    // staging, not RMA). The lanes' leaders originate their puts
+    // independently; the fence/barrier epoch structure is global, so there
+    // is no per-cycle lane sync here. Time spent posting puts is charged to
+    // the forward bucket (the lifetime stat stays two-sided-only: put
+    // completion is epoch-based, so no per-leader forward lifetime exists
+    // to measure).
     if (!is_leader_) return;
     std::uint64_t base = 0;
-    sim::Duration& bucket = pipelined_ ? t_.forward : t_.shuffle;
     for (int a = 0; a < plan_.num_aggregators(); ++a) {
       const Plan::Range r = plan_.cycle_range(a, cycle);
       const auto segs = plan_.lane_segments_in(node_, lane_, r.begin, r.end);
@@ -543,7 +507,7 @@ void Engine::shuffle_init(int cycle, int slot) {
         timed(mpi_.ctx(), t_.sync,
               [&] { mpi_.win_lock(*s.win, target, opt_.lock_type); });
       }
-      timed(mpi_.ctx(), bucket, [&] {
+      timed(mpi_.ctx(), t_.forward, [&] {
         for (const Segment& g : segs) {
           mpi_.ctx().advance(opt_.seg_cpu);
           mpi_.put(*s.win, target, g.file_offset - r.begin,
@@ -599,7 +563,7 @@ void Engine::shuffle_wait(int slot) {
       const sim::Time w0 = mpi_.ctx().now();
       timed(mpi_.ctx(), fwd_wait ? t_.forward : t_.shuffle,
             [&] { mpi_.waitall(s.sh.reqs); });
-      if (s.fwd_posted) {
+      if (s.fwd_posted && pipelined_) {
         // Pipelined-overlap stat: the forward lifetime runs from the post
         // instant to the end of this waitall; the leader was blocked on
         // forwarding while posting and (pure leaders only) inside the
@@ -609,9 +573,9 @@ void Engine::shuffle_wait(int slot) {
         fwd_lifetime_ += mpi_.ctx().now() - s.fwd_begin;
         fwd_blocked_ += s.fwd_post_cost;
         if (fwd_wait) fwd_blocked_ += mpi_.ctx().now() - w0;
-        s.fwd_posted = false;
-        s.fwd_post_cost = 0;
       }
+      s.fwd_posted = false;
+      s.fwd_post_cost = 0;
       if (my_agg_ >= 0 && !s.sh.recv_bufs.empty()) {
         // Scatter staged multi-segment messages into the collective buffer
         // at their final offsets (single-segment sources already landed in
@@ -1258,7 +1222,7 @@ Result run_collective(Direction dir, smpi::Mpi& mpi, pfs::File& file,
   int want_b = 0, want_e = 0;
   if (skel->is_aggregator(me)) {
     want_e = P;
-  } else if (eff.hierarchical && skel->is_leader(me)) {
+  } else if (skel->is_leader(me)) {
     std::tie(want_b, want_e) =
         skel->lane_rank_range(topo.node_of(me), skel->lane_of(me));
   }
@@ -1307,6 +1271,18 @@ Result run_collective(Direction dir, smpi::Mpi& mpi, pfs::File& file,
 
 Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
                         std::span<const std::byte> data, const Options& opt) {
+  // Reject lane counts the plan cannot honour before the first collective,
+  // so every rank fails at once instead of mid-run.
+  const int ppn = mpi.machine().fabric().topology().procs_per_node;
+  if (opt.local_aggregators < 1) {
+    tpio::fail("collective_write: Options::local_aggregators = " +
+               std::to_string(opt.local_aggregators) + " must be at least 1");
+  }
+  if (opt.hierarchical && opt.local_aggregators > ppn) {
+    tpio::fail("collective_write: Options::local_aggregators = " +
+               std::to_string(opt.local_aggregators) + " exceeds the " +
+               std::to_string(ppn) + " processes per node");
+  }
   return run_collective(Direction::Write, mpi, file, view, data, {}, opt);
 }
 

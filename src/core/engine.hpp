@@ -23,9 +23,9 @@ enum class Direction { Write, Read };
 /// transfers, RMA windows for one-sided ones) and runs a two-stage
 /// pipeline over them, upstream to downstream: shuffle -> file write, or
 /// file read -> scatter. The comm stage is direction-specific (the write's
-/// shuffle supports hierarchy and one-sided transfers, the read's scatter
-/// is flat and two-sided); the file-access stage and the schedulers are
-/// shared. The overlap algorithm decides which stage runs non-blocking:
+/// shuffle routes through the plan's lanes and supports one-sided
+/// transfers, the read's scatter is flat and two-sided); the file-access
+/// stage and the schedulers are shared. The overlap algorithm decides which stage runs non-blocking:
 ///
 ///   None       — both blocking, strictly alternating.
 ///   Comm       — non-blocking comm stage (Algorithm 1).
@@ -66,14 +66,13 @@ class Engine {
   void run();
 
   // ----- individual phase operations (also used by tests) -----------------
-  /// Hierarchical-mode intra-node gather: the lane leader collects its
-  /// lane's ranks' pieces of `cycle` into a per-slot staging buffer
-  /// (coalesced, aggregator-major order) over intra-node links. With one
-  /// lane per node (local_aggregators == 1) the lane is the whole node and
-  /// this is the historical single-leader gather, byte for byte. No-op
-  /// unless Options::hierarchical; idempotent per (cycle, slot); called
-  /// automatically at the top of shuffle_init. Single-member lanes skip
-  /// staging entirely — the direct send path is used unchanged.
+  /// Intra-node lane gather: the lane leader collects its lane's ranks'
+  /// pieces of `cycle` into a per-slot staging buffer (coalesced,
+  /// aggregator-major order) over intra-node links. With one lane per node
+  /// (co = 1) the lane is the whole node: the single-leader gather.
+  /// Idempotent per (cycle, slot); called automatically at the top of
+  /// shuffle_init. Single-member lanes (every lane at co = ppn, the direct
+  /// shuffle) skip staging entirely and send directly.
   void leader_gather(int cycle, int slot);
   /// Comm stage of the write direction.
   void shuffle_init(int cycle, int slot);
@@ -96,8 +95,8 @@ class Engine {
   /// succeeded. Mirrored into Result::io_error by the facades.
   const std::string& io_error() const { return io_error_; }
 
-  /// Pipelined-overlap inputs (two-sided pipelined lane leaders only; both
-  /// zero otherwise — in particular on every co = 1 run). The lifetime of
+  /// Pipelined-overlap inputs (two-sided pipelined lane leaders only, 1 <
+  /// co < ppn; both zero otherwise — in particular on every co = 1 run). The lifetime of
   /// a cycle's forwards spans their post instant to the slot's waitall;
   /// blocked is the part the leader spent posting or waiting on them.
   sim::Duration forward_lifetime() const { return fwd_lifetime_; }
@@ -148,16 +147,15 @@ class Engine {
     int io_cycle = -1;            // cycle last placed on the file stage
     sim::Time io_submit = 0;      // issue time of the outstanding access
     std::uint64_t io_bytes = 0;   // bytes of the outstanding access
-    // Hierarchical mode, leaders of multi-member lanes only: the lane's
-    // merged cycle payload, laid out as the concatenation over aggregators
+    // Leaders of multi-member lanes only: the lane's merged cycle payload, laid out as the concatenation over aggregators
     // of the coalesced lane segments. Forwards (sends/puts) reference this
     // memory, so it stays untouched until the slot's shuffle_wait.
     sim::BufferPool::Buffer stage;
     int gathered_cycle = -1;  // last cycle gathered into this slot
-    // Pipelined lane mode (local_aggregators > 1), lane leaders only:
-    // when this slot's forwards were posted, and the leader's blocked time
-    // while posting them — inputs of the pipelined-overlap stat closed out
-    // at the slot's shuffle_wait.
+    // Leaders of multi-member lanes, two-sided: whether and when this
+    // slot's forwards were posted, and the leader's blocked time while
+    // posting them — the forward wait's bucket and, in pipelined mode, the
+    // inputs of the pipelined-overlap stat, closed out at shuffle_wait.
     bool fwd_posted = false;
     sim::Time fwd_begin = 0;
     sim::Duration fwd_post_cost = 0;
@@ -168,11 +166,6 @@ class Engine {
          const Options& opt, PhaseTimings& timings);
 
   std::span<std::byte> cb_span(int slot);
-  /// Segment layout of the message an aggregator receives from `src` for
-  /// [lo, hi): per-rank segments on the direct path, the source node's
-  /// coalesced union under hierarchy.
-  std::vector<Segment> incoming_segments(int src, std::uint64_t lo,
-                                         std::uint64_t hi) const;
   /// Comm stage of the read direction: each aggregator sends every rank
   /// its pieces of the cycle, every rank receives from each aggregator.
   void scatter_init(int cycle, int slot);
@@ -240,13 +233,13 @@ class Engine {
   PhaseTimings& t_;
   int my_agg_ = -1;  // aggregator index of this rank, or -1
   int node_ = 0;
-  // Hierarchical-mode geometry (valid when opt_.hierarchical).
+  // Lane geometry (the plan's co; co = ppn is the direct shuffle).
   bool is_leader_ = false;
   int lane_ = 0;                        // this rank's lane within its node
   int lane_first_ = 0, lane_last_ = 0;  // this lane's rank range
-  // Options::local_aggregators > 1: per-lane sub-batons replace the
-  // whole-node + leader barriers, and lane leaders forward as soon as
-  // their own gather completes (timed into PhaseTimings::forward).
+  // Pipelined lane mode, 1 < co < ppn: the per-cycle sync drops the
+  // lane-leader barrier, so lane leaders forward as soon as their own
+  // gather completes.
   bool pipelined_ = false;
   // Pipelined-overlap inputs (host-side counters, zero virtual cost):
   // summed forward lifetimes and the portion the leader spent blocked.

@@ -52,12 +52,8 @@ class PlanSkeleton {
   Range domain(int a) const { return domains_[static_cast<std::size_t>(a)]; }
   Range cycle_range(int a, int c) const;
 
-  bool hierarchical() const { return hierarchical_; }
   const net::Topology& topology() const { return topo_; }
-  int leader_rank(int node) const {
-    return leader_by_node_[static_cast<std::size_t>(node)];
-  }
-  /// Lane leader of `rank`'s own lane (== leader_rank(node) at co = 1).
+  /// Leader of `rank`'s own lane.
   int leader_of(int rank) const {
     const int node = topo_.node_of(rank);
     return lane_leader(node, lane_of(rank));
@@ -65,10 +61,12 @@ class PlanSkeleton {
   bool is_leader(int rank) const { return leader_of(rank) == rank; }
   std::pair<int, int> node_rank_range(int node) const;
 
-  // ----- lane geometry (Options::local_aggregators, Kang et al.'s co) -----
-  /// The requested co (>= 1); per-node lane counts are clamped to the
+  // ----- lane geometry (Kang et al.'s co, see lanes_per_node) ------------
+  /// The effective co (>= 1); per-node lane counts are clamped to the
   /// node's member count.
   int local_aggregators() const { return local_aggs_; }
+  /// Lanes over the whole job: the sum of lanes(node) over all nodes.
+  int num_lanes() const { return num_lanes_; }
   /// Lanes on `node`: min(co, members). 1 at co = 1.
   int lanes(int node) const {
     return static_cast<int>(lane_leaders_[static_cast<std::size_t>(node)].size());
@@ -87,9 +85,8 @@ class PlanSkeleton {
 
  private:
   net::Topology topo_;
-  bool hierarchical_ = false;
   int local_aggs_ = 1;
-  std::vector<int> leader_by_node_;  // per node: lane 0's leader
+  int num_lanes_ = 0;
   std::vector<std::vector<int>> lane_leaders_;  // per node, per lane
   std::vector<std::vector<int>> lane_bounds_;   // per node: lanes+1 boundaries
   std::vector<Range> domains_;       // per aggregator index
@@ -104,8 +101,8 @@ class PlanSkeleton {
 
 /// The distribution plan of one collective write: a shared geometry
 /// skeleton plus the full views this rank actually holds. On the sparse
-/// metadata path a plain sender holds only its own view, a node leader its
-/// node's views, an aggregator all of them; the dense path (and the legacy
+/// metadata path a plain sender holds only its own view, a lane leader its
+/// lane's views, an aggregator all of them; the dense path (and the legacy
 /// constructor) holds every view. Geometry queries are answered by the
 /// skeleton and are identical on every rank regardless of which views it
 /// holds; view queries (segments_in, view, ...) require the view to be
@@ -151,13 +148,9 @@ class Plan {
   /// materializing the segments). Requires rank `r`'s view to be held.
   std::uint64_t bytes_in(int r, std::uint64_t lo, std::uint64_t hi) const;
 
-  // ----- two-level (hierarchical) routing ---------------------------------
-  /// Whether this plan was built with Options::hierarchical.
-  bool hierarchical() const { return skel_->hierarchical(); }
+  // ----- lanes (Kang et al.'s co, see lanes_per_node) --------------------
   const net::Topology& topology() const { return skel_->topology(); }
-  /// The rank elected leader of `node` (per Options::leader_policy).
-  int leader_rank(int node) const { return skel_->leader_rank(node); }
-  /// The leader of `rank`'s node.
+  /// Leader of `rank`'s own lane.
   int leader_of(int rank) const { return skel_->leader_of(rank); }
   bool is_leader(int rank) const { return skel_->is_leader(rank); }
   /// Half-open rank interval [first, last) living on `node` (block
@@ -165,21 +158,10 @@ class Plan {
   std::pair<int, int> node_rank_range(int node) const {
     return skel_->node_rank_range(node);
   }
-  /// Union of the node's members' segments inside [lo, hi): coalesced
-  /// (touching/overlapping pieces merged), ordered by file offset, with
-  /// `local_offset` re-purposed as the position inside the node's merged
-  /// message. Single-member nodes return segments_in(member) verbatim so
-  /// the hierarchical path degenerates to the direct one exactly. Requires
-  /// every member's view to be held.
-  std::vector<Segment> node_segments_in(int node, std::uint64_t lo,
-                                        std::uint64_t hi) const;
-  /// Bytes of the merged node message for [lo, hi) (coalesced size).
-  std::uint64_t node_bytes_in(int node, std::uint64_t lo,
-                              std::uint64_t hi) const;
-
-  // ----- lanes (Options::local_aggregators > 1) ---------------------------
-  /// Requested local aggregators per node (co); 1 = single-leader scheme.
+  /// Effective local aggregators per node (co); see lanes_per_node.
   int local_aggregators() const { return skel_->local_aggregators(); }
+  /// Lanes over the whole job.
+  int num_lanes() const { return skel_->num_lanes(); }
   /// Lanes on `node` (min(co, members)).
   int lanes(int node) const { return skel_->lanes(node); }
   int lane_leader(int node, int lane) const {
@@ -190,9 +172,12 @@ class Plan {
   }
   int lane_of(int rank) const { return skel_->lane_of(rank); }
   /// Union of the lane members' segments inside [lo, hi) — the merged
-  /// message lane `lane`'s leader forwards; same coalescing and
-  /// local_offset convention as node_segments_in. With one lane per node
-  /// this is node_segments_in verbatim. Requires the lane members' views.
+  /// message lane `lane`'s leader forwards: coalesced (touching or
+  /// overlapping pieces merged), ordered by file offset, with
+  /// `local_offset` re-purposed as the position inside the merged message.
+  /// A single-member lane returns segments_in(member) verbatim, so the
+  /// co = ppn route is the direct one exactly. Requires the lane members'
+  /// views.
   std::vector<Segment> lane_segments_in(int node, int lane, std::uint64_t lo,
                                         std::uint64_t hi) const;
   /// Bytes of the merged lane message for [lo, hi).
@@ -210,11 +195,6 @@ class Plan {
   std::shared_ptr<const PlanSkeleton> skeleton_ptr() const { return skel_; }
 
  private:
-  /// Coalesced union of ranks [first, last)'s segments in [lo, hi) — the
-  /// shared core of node_segments_in / lane_segments_in.
-  std::vector<Segment> merged_segments_in(int first, int last,
-                                          std::uint64_t lo,
-                                          std::uint64_t hi) const;
   /// Index into views_/prefix_ for a held rank; fails if not held.
   std::size_t held_slot(int r) const;
   void index_views();
@@ -225,6 +205,12 @@ class Plan {
   std::vector<std::vector<std::uint64_t>> prefix_;  // parallel, per extent
   bool dense_ = false;            // held_ranks_ is exactly [0, P)
 };
+
+/// Lanes requested per node (Kang et al.'s co): Options::local_aggregators
+/// under Options::hierarchical, else procs_per_node — one single-member
+/// lane per rank, which is the direct shuffle. The only reader of
+/// Options::hierarchical on the write path.
+int lanes_per_node(const Options& opt, const net::Topology& topo);
 
 /// Automatic aggregator-count selection (approximation of Chaarawi &
 /// Gabriel's runtime algorithm, ref [5]): enough aggregators that each has

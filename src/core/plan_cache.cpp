@@ -46,8 +46,8 @@ void append_header(std::string& key, const net::Topology& topo,
   append_u64(key, opt.cb_size);
   append_u64(key, opt.overlap == OverlapMode::None ? 0 : 1);  // split geometry
   append_u64(key, static_cast<std::uint64_t>(opt.num_aggregators));
-  append_u64(key, static_cast<std::uint64_t>(opt.local_aggregators));
-  append_u64(key, (opt.stripe_align ? 1u : 0u) | (opt.hierarchical ? 2u : 0u) |
+  append_u64(key, static_cast<std::uint64_t>(lanes_per_node(opt, topo)));
+  append_u64(key, (opt.stripe_align ? 1u : 0u) |
                       (opt.leader_policy == LeaderPolicy::Spread ? 4u : 0u) |
                       (opt.leader_policy == LeaderPolicy::Superset ? 8u : 0u));
 }

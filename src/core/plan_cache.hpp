@@ -26,7 +26,8 @@ namespace tpio::coll {
 /// are byte-identical — a hit returns a Plan bit-identical to the one the
 /// caller would have built. Options enter through the fields the Plan
 /// constructor reads: cb_size, the None-vs-split overlap geometry,
-/// num_aggregators, stripe_align, hierarchical, and leader_policy.
+/// num_aggregators, stripe_align, the lanes per node (lanes_per_node), and
+/// leader_policy.
 ///
 /// Race-free under the sweep executor like the tuning cache: a global
 /// mutex serializes lookup-and-build, so the P ranks of one run (and any

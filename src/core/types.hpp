@@ -82,7 +82,7 @@ enum class Transfer {
   OneSidedLock,   // Put + Win_lock/unlock + Barrier (passive target)
 };
 
-/// Which rank of each node acts as the node leader when the hierarchical
+/// Which rank of each lane acts as its leader when the hierarchical
 /// (two-level) shuffle is enabled (Options::hierarchical).
 enum class LeaderPolicy {
   Lowest,    // first rank of each lane: co-locates leader and aggregator duty
@@ -110,20 +110,22 @@ struct Options {
   /// required for performance, Exclusive kept as an ablation.
   smpi::Mpi::LockType lock_type = smpi::Mpi::LockType::Shared;
   /// Two-level shuffle (Kang et al., intra-node request aggregation): each
-  /// node elects a leader that gathers its co-located ranks' segments over
-  /// intra-node links, coalesces contiguous pieces, and forwards one merged
-  /// message per (node, aggregator, cycle). Composes with every overlap
-  /// mode and transfer primitive; degenerates to the direct path on
-  /// single-member nodes.
+  /// node splits into local_aggregators lanes whose leaders gather their
+  /// co-located members' segments over intra-node links, coalesce
+  /// contiguous pieces, and forward one merged message per (lane,
+  /// aggregator, cycle). Composes with every overlap mode and transfer
+  /// primitive. false is the co = ppn case: one single-member lane per
+  /// rank, which is the direct shuffle (coll::lanes_per_node).
   bool hierarchical = false;
   LeaderPolicy leader_policy = LeaderPolicy::Lowest;
-  /// Local aggregators per node (Kang et al.'s `co`): each node's members
-  /// split into this many contiguous lanes, each lane electing its own
-  /// leader per leader_policy. 1 (the default) is the single-leader scheme
-  /// and stays bit-identical to the pre-lane hierarchical path on every
-  /// RunResult field; > 1 additionally pipelines each lane's intra-node
-  /// gather against its inter-node forwards (per-lane sub-batons replace
-  /// the whole-node barrier). Clamped to the node's member count.
+  /// Local aggregators per node (Kang et al.'s `co`, read only under
+  /// hierarchical): each node's members split into this many contiguous
+  /// lanes, each lane electing its own leader per leader_policy. 1 (the
+  /// default) is the single-leader scheme; 1 < co < ppn additionally
+  /// pipelines each lane's intra-node gather against its inter-node
+  /// forwards (the per-cycle lane-leader barrier is dropped); co = ppn is
+  /// the direct shuffle. collective_write rejects co < 1 and co > ppn;
+  /// partially filled nodes clamp to their member count.
   int local_aggregators = 1;
   /// OverlapMode::Auto: leading cycles executed as blocking probes before
   /// the scheduler is chosen (clamped to the operation's cycle count).
@@ -213,11 +215,10 @@ struct Options {
 struct PhaseTimings {
   sim::Duration meta = 0;     // view exchange + planning collectives
   sim::Duration pack = 0;     // CPU pack/unpack
-  sim::Duration gather = 0;   // intra-node leader gather (hierarchical mode)
-  sim::Duration forward = 0;  // inter-node forward sends of pipelined lane
-                              // leaders (hierarchical, local_aggregators > 1;
-                              // the co = 1 path keeps forward time in shuffle
-                              // for bit-identity, leaving this 0)
+  sim::Duration gather = 0;   // intra-node lane gather (hierarchical mode)
+  sim::Duration forward = 0;  // lane leaders' forwards to the aggregators
+                              // (posts and their waits, every co with
+                              // multi-member lanes; 0 on the direct path)
   sim::Duration shuffle = 0;  // blocked in sends/recvs/puts + their waits
   sim::Duration sync = 0;     // fences, barriers, lock traffic
   sim::Duration write = 0;    // blocked in file writes / write waits
@@ -268,9 +269,9 @@ struct Result {
   /// First give-up description on this rank; empty when every operation
   /// eventually succeeded. A non-empty value means the file has a hole.
   std::string io_error;
-  /// Pipelined-overlap inputs (two-sided hierarchical runs with
-  /// local_aggregators > 1, lane leaders only; both 0 everywhere else, in
-  /// particular on every co = 1 run): summed lifetimes of this rank's
+  /// Pipelined-overlap inputs (two-sided pipelined lane runs, 1 < co <
+  /// ppn, lane leaders only; both 0 everywhere else, in particular on
+  /// every co = 1 run): summed lifetimes of this rank's
   /// forward messages (post instant to completion wait) and the part of
   /// that the rank spent blocked posting/waiting on them. The difference
   /// is forward time hidden under other work (typically the next cycle's

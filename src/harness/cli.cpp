@@ -143,6 +143,31 @@ Platform platform_by_name(const std::string& name) {
   tpio::fail("unknown platform '" + name + "' (crill|ibex|lustre)");
 }
 
+std::string lane_options_error(const coll::Options& o, int procs_per_node,
+                               int nprocs) {
+  const int co = o.local_aggregators;
+  if (co > procs_per_node) {
+    return "--local-aggs " + std::to_string(co) + " exceeds the platform's " +
+           std::to_string(procs_per_node) + " processes per node";
+  }
+  if (o.leader_policy != coll::LeaderPolicy::Superset || co <= 1) return "";
+  // Superset needs one global aggregator per lane leader, or the fill
+  // degenerates to Spread picks. Placement is round-robin over nodes, so
+  // the per-node capacity is ceil(A / nodes); automatic aggregator
+  // selection guarantees only one.
+  int per_node = 1;
+  if (o.num_aggregators > 0) {
+    const int nodes = std::max(1, (nprocs + procs_per_node - 1) / procs_per_node);
+    const int a = std::min(o.num_aggregators, nprocs);
+    per_node = (a + nodes - 1) / nodes;
+  }
+  if (co <= per_node) return "";
+  return "--leader superset with --local-aggs " + std::to_string(co) +
+         " exceeds the " + std::to_string(per_node) +
+         " global aggregator(s) placed per node; lower --local-aggs or use "
+         "--leader spread";
+}
+
 std::string cli_usage() {
   return
       "tpio_sim - run one simulated collective-write experiment\n"
@@ -393,35 +418,10 @@ CliConfig parse_cli(const std::vector<std::string>& args) {
                 std::to_string(cfg.spec.options.sub_comm_count) +
                 " exceeds --procs " + std::to_string(cfg.spec.nprocs);
   }
-  if (cfg.error.empty() &&
-      cfg.spec.options.local_aggregators >
-          cfg.spec.platform.procs_per_node) {
-    cfg.error = "--local-aggs " +
-                std::to_string(cfg.spec.options.local_aggregators) +
-                " exceeds the platform's " +
-                std::to_string(cfg.spec.platform.procs_per_node) +
-                " processes per node";
-  }
-  if (cfg.error.empty() &&
-      cfg.spec.options.leader_policy == coll::LeaderPolicy::Superset &&
-      cfg.spec.options.local_aggregators > 1) {
-    // Superset needs one global aggregator per lane leader, or the fill
-    // degenerates to Spread picks. Placement is round-robin over nodes, so
-    // the per-node capacity is ceil(A / nodes); auto aggregator count
-    // (--aggregators 0) guarantees only one.
-    const int ppn = cfg.spec.platform.procs_per_node;
-    const int nodes = (cfg.spec.nprocs + ppn - 1) / ppn;
-    const int a = std::min(cfg.spec.options.num_aggregators, cfg.spec.nprocs);
-    const int per_node = cfg.spec.options.num_aggregators == 0
-                             ? 1
-                             : (a + nodes - 1) / nodes;
-    if (cfg.spec.options.local_aggregators > per_node) {
-      cfg.error = "--leader superset with --local-aggs " +
-                  std::to_string(cfg.spec.options.local_aggregators) +
-                  " exceeds the " + std::to_string(per_node) +
-                  " aggregator(s) per node; raise --aggregators or lower "
-                  "--local-aggs";
-    }
+  if (cfg.error.empty()) {
+    cfg.error = lane_options_error(cfg.spec.options,
+                                   cfg.spec.platform.procs_per_node,
+                                   cfg.spec.nprocs);
   }
   if (cfg.error.empty() && cfg.arrival.model == ArrivalModel::Trace &&
       static_cast<int>(cfg.arrival.trace.size()) != cfg.tenants) {

@@ -38,7 +38,9 @@ struct CliConfig {
 ///   --probe-cycles N                 (OverlapMode::Auto probes, default 4)
 ///   --tuning-cache FILE              (OverlapMode::Auto decision cache)
 ///   --hierarchical                   (two-level shuffle, off by default)
-///   --leader lowest|spread           (default lowest)
+///   --leader lowest|spread|superset  (default lowest)
+///   --local-aggs N                   (lanes per node under --hierarchical,
+///                                     default 1)
 ///   --reps N                         (default 3)
 ///   --seed N                         (default 1)
 ///   --verify                         (off by default)
@@ -70,6 +72,15 @@ bool parse_double_arg(const std::string& s, double lo, double hi,
 /// "trace:MS,MS,..." (milliseconds of virtual time, >= 0). Returns false
 /// on malformed input, leaving `out` untouched.
 bool parse_arrival_arg(const std::string& s, ArrivalSpec& out);
+
+/// Why the lane options of `o` cannot run on nodes of `procs_per_node`
+/// processes in an `nprocs`-rank job, or "" when they can: --local-aggs
+/// beyond the node size, or --leader superset with more lanes than the
+/// global aggregators placed per node (one under automatic selection;
+/// `nprocs` only matters when Options::num_aggregators is set). The one
+/// check behind both tpio_sim and tpio_sweep.
+std::string lane_options_error(const coll::Options& o, int procs_per_node,
+                               int nprocs);
 
 /// The usage text printed for --help / errors.
 std::string cli_usage();

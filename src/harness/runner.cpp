@@ -102,8 +102,8 @@ RunResult execute(const RunSpec& spec) {
   // Pipelined-overlap fraction: across all lane leaders and cycles, the
   // share of forward-message lifetime the leaders were NOT blocked on —
   // forwarding hidden under other work (typically the next lane gather).
-  // 0.0 whenever no rank forwarded pipelined (non-hierarchical, co = 1,
-  // one-sided), preserving field-for-field equality with legacy results.
+  // 0.0 whenever no rank forwarded pipelined (the direct path, co = 1,
+  // one-sided).
   if (fwd_lifetime > 0) {
     out.pipelined_overlap =
         1.0 - static_cast<double>(fwd_blocked) /

@@ -63,19 +63,17 @@ struct RunResult {
   std::uint64_t inter_node_bytes = 0;
   std::uint64_t inter_node_messages = 0;
   std::uint64_t intra_node_bytes = 0;
-  /// Pipelined intra-node aggregation (hierarchical, local_aggregators > 1,
+  /// Pipelined intra-node aggregation (hierarchical, 1 < co < ppn,
   /// two-sided): fraction of the lane leaders' forward-message lifetimes
   /// hidden under other work (next cycle's gather) instead of blocking the
-  /// leader. 0.0 whenever nothing forwarded pipelined — non-hierarchical
-  /// runs, co = 1, one-sided transfers — so legacy results compare equal
-  /// field-for-field.
+  /// leader. 0.0 whenever nothing forwarded pipelined — the direct path
+  /// (co = ppn), co = 1, one-sided transfers.
   double pipelined_overlap = 0.0;
   /// Critical path of the intra-node gather: the largest per-rank gather
   /// time. This is the quantity local aggregators (co) attack — splitting a
   /// node into lanes shortens the serial chain of member receives on each
-  /// leader. Deliberately excludes the forward bucket: co = 1 charges its
-  /// forwards to `shuffle` (legacy field equality), so gather is the only
-  /// bucket that means the same thing at every co.
+  /// leader. Deliberately excludes the forward bucket, which measures the
+  /// leaders' inter-node sends, not the intra-node chain.
   sim::Duration gather_critical = 0;
   /// OverlapMode::Auto only: what the probe phase decided (identical on
   /// every rank; engaged == false for fixed overlap modes).

@@ -16,14 +16,15 @@ class Error : public std::runtime_error {
 
 [[noreturn]] void fail(const std::string& msg);
 
+/// TPIO_CHECK's failure path: throws Error("<file>:<line>: check `<cond>`
+/// failed: <msg>"). Out of line, so check sites carry no string building.
+[[noreturn]] void check_failed(const char* file, int line, const char* cond,
+                               const std::string& msg);
+
 }  // namespace tpio
 
 /// Precondition / invariant check that survives NDEBUG builds.
-#define TPIO_CHECK(cond, msg)                                        \
-  do {                                                               \
-    if (!(cond)) {                                                   \
-      ::tpio::fail(std::string(__FILE__) + ":" +                     \
-                   std::to_string(__LINE__) + ": check `" #cond      \
-                   "` failed: " + (msg));                            \
-    }                                                                \
+#define TPIO_CHECK(cond, msg)                                            \
+  do {                                                                   \
+    if (!(cond)) ::tpio::check_failed(__FILE__, __LINE__, #cond, (msg)); \
   } while (0)

@@ -74,23 +74,13 @@ TEST(MpiColl, BarrierCostGrowsWithRanks) {
   EXPECT_LT(cost(2), cost(32));
 }
 
-TEST(MpiColl, NodeRanksListCoLocatedRanks) {
-  Rig rig(3, 2);
-  rig.run([&](smpi::Mpi& mpi) {
-    const auto ranks = mpi.node_ranks();
-    const int first = (mpi.rank() / 2) * 2;
-    ASSERT_EQ(ranks.size(), 2u);
-    EXPECT_EQ(ranks[0], first);
-    EXPECT_EQ(ranks[1], first + 1);
-  });
-}
-
 TEST(MpiColl, NodeBarrierSynchronizesWithinNodeOnly) {
+  // A lane spanning the whole node (co = 1) is the node barrier.
   Rig rig(2, 3);
   std::vector<sim::Time> after(6);
   rig.run([&](smpi::Mpi& mpi) {
     mpi.ctx().advance(static_cast<sim::Duration>(mpi.rank()) * 1000);
-    mpi.node_barrier();
+    mpi.lane_barrier(0, 3);
     after[static_cast<std::size_t>(mpi.rank())] = mpi.ctx().now();
   });
   // Members of a node leave together, held to the slowest member.
@@ -105,14 +95,13 @@ TEST(MpiColl, NodeBarrierSynchronizesWithinNodeOnly) {
 }
 
 TEST(MpiColl, NodeBarrierSinglePartyIsFree) {
-  // ppn=1: a one-party node barrier must neither block nor cost time —
-  // the hierarchical engine relies on this to degenerate to the direct
-  // path exactly.
+  // ppn=1: a one-party lane barrier must neither block nor cost time —
+  // single-member lanes are the direct path exactly.
   Rig rig(4, 1);
   rig.run([&](smpi::Mpi& mpi) {
     mpi.ctx().advance(static_cast<sim::Duration>(mpi.rank()) * 500);
     const sim::Time before = mpi.ctx().now();
-    mpi.node_barrier();
+    mpi.lane_barrier(0, 1);
     EXPECT_EQ(mpi.ctx().now(), before);
   });
 }
@@ -123,7 +112,7 @@ TEST(MpiColl, LeaderBarrierSpansOneRankPerNode) {
   rig.run([&](smpi::Mpi& mpi) {
     if (mpi.rank() % 2 != 0) return;  // only the per-node "leaders" join
     mpi.ctx().advance(static_cast<sim::Duration>(mpi.rank()) * 1000);
-    mpi.leader_barrier();
+    mpi.lane_leader_barrier(3);  // one lane per node
     after[static_cast<std::size_t>(mpi.rank())] = mpi.ctx().now();
   });
   EXPECT_EQ(after[0], after[2]);
@@ -132,14 +121,14 @@ TEST(MpiColl, LeaderBarrierSpansOneRankPerNode) {
 }
 
 TEST(MpiColl, LeaderBarrierEqualsBarrierAtPpnOne) {
-  // ppn=1: every rank is a leader, so the leader barrier is the global
-  // barrier — identical parties, identical cost model.
+  // ppn=1: every rank leads its own lane, so the lane-leader barrier is
+  // the global barrier — identical parties, identical cost model.
   auto finish = [](bool leader) {
     Rig rig(4, 1);
     sim::Time t = 0;
     rig.run([&](smpi::Mpi& mpi) {
       mpi.ctx().advance(static_cast<sim::Duration>(mpi.rank()) * 700);
-      if (leader) mpi.leader_barrier();
+      if (leader) mpi.lane_leader_barrier(4);
       else mpi.barrier();
       if (mpi.rank() == 0) t = mpi.ctx().now();
     });

@@ -28,8 +28,9 @@
 //                 --local-aggs): per message size, the simulated makespan,
 //                 intra-node gather critical path (max per-rank gather
 //                 time) and the comm-overlap scheduler's pipelined-overlap
-//                 fraction at co in {1, 2, 4, 16}, plus the winning co by
-//                 each metric (absent on trees without local aggregation).
+//                 fraction at co in {1, 2, 4, 16} (co = 16 = ppn is the
+//                 direct shuffle), plus the winning co by each metric
+//                 (absent on trees without local aggregation).
 //
 // Deliberately restricted to the long-stable harness API (execute,
 // run_overlap_sweep, scaled presets) so the identical source compiles

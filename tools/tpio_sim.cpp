@@ -2,7 +2,7 @@
 // experiments — the tool an I/O engineer points at a cluster profile and a
 // workload shape before committing to MCA parameters.
 //
-//   tpio_sim --platform crill --workload tile1m --procs 100 \
+//   tpio_sim --platform crill --workload tile1m --procs 100
 //            --overlap write-comm-2 --reps 5 --verify
 
 #include <cstdio>
@@ -159,11 +159,12 @@ int main(int argc, char** argv) {
   std::printf("geometry: %d aggregators, %d cycles, %s total\n",
               first.aggregators, first.cycles,
               sim::format_bytes(first.bytes).c_str());
-  if (cfg.spec.options.local_aggregators > 1 || first.rank_sum.forward > 0) {
-    // Pipelined intra-node aggregation (--local-aggs > 1): how much of the
-    // lane leaders' forward traffic was hidden under the next gather.
-    std::printf("pipelined forwards: %.3f ms forward time (summed over "
-                "ranks), %.1f%% of forward lifetime hidden\n",
+  if (first.rank_sum.forward > 0) {
+    // Lane leaders' forwards (--hierarchical with multi-member lanes), and
+    // how much of their lifetime pipelined lanes (1 < co < ppn) hid under
+    // the next gather.
+    std::printf("lane forwards: %.3f ms forward time (summed over ranks), "
+                "%.1f%% of forward lifetime hidden\n",
                 sim::to_millis(first.rank_sum.forward),
                 first.pipelined_overlap * 100.0);
   }

@@ -206,23 +206,12 @@ int main(int argc, char** argv) {
   // resume from a healthy checkpoint (or vice versa).
   plat.pfs.faults = faults;
 
-  if (base.local_aggregators > plat.procs_per_node) {
-    std::fprintf(stderr,
-                 "--local-aggs %d exceeds the platform's %d processes "
-                 "per node\n",
-                 base.local_aggregators, plat.procs_per_node);
-    return 2;
-  }
-  if (base.leader_policy == coll::LeaderPolicy::Superset &&
-      base.local_aggregators > 1) {
-    // The sweep always runs with automatic aggregator selection, which
-    // guarantees only one global aggregator per node — not enough to host
-    // more than one superset lane leader.
-    std::fprintf(stderr,
-                 "--leader superset with --local-aggs %d exceeds the 1 "
-                 "aggregator per node the sweep's automatic election "
-                 "guarantees; use --leader spread for co > 1 sweeps\n",
-                 base.local_aggregators);
+  // The sweep runs with automatic aggregator selection, so the job size
+  // does not enter the check.
+  if (const std::string err =
+          xp::lane_options_error(base, plat.procs_per_node, /*nprocs=*/0);
+      !err.empty()) {
+    std::fprintf(stderr, "%s\n", err.c_str());
     return 2;
   }
 
