@@ -39,9 +39,12 @@ struct Cell {
   std::string size_label;
   std::vector<int> cos;
   std::vector<xp::RunResult> runs;  // parallel to cos
+  /// Index of the lane count with the shortest gather chain. co = ppn is
+  /// the direct shuffle, which gathers nothing, so it does not compete.
   int best_by_gather() const {
     int best = 0;
     for (std::size_t i = 1; i < runs.size(); ++i) {
+      if (cos[i] >= ppn) continue;
       if (runs[i].gather_critical < runs[static_cast<std::size_t>(best)]
                                         .gather_critical) {
         best = static_cast<int>(i);

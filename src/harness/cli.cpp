@@ -6,6 +6,7 @@
 #include <cstdlib>
 
 #include "harness/sweep.hpp"
+#include "net/topology.hpp"
 #include "simbase/error.hpp"
 #include "simbase/units.hpp"
 
@@ -166,6 +167,26 @@ std::string lane_options_error(const coll::Options& o, int procs_per_node,
          " exceeds the " + std::to_string(per_node) +
          " global aggregator(s) placed per node; lower --local-aggs or use "
          "--leader spread";
+}
+
+std::string job_options_error(const coll::Options& o, const Platform& plat,
+                              int nprocs, int tenants) {
+  if (o.sub_comm_count > nprocs) {
+    return "--sub-comms " + std::to_string(o.sub_comm_count) +
+           " exceeds a job of " + std::to_string(nprocs) + " processes";
+  }
+  // Tenants occupy disjoint node blocks of one machine (execute_multi).
+  const int nodes =
+      tenants * net::Topology::fit(nprocs, plat.procs_per_node).nodes;
+  const int targets = storage_targets(plat, nodes);
+  if (plat.pfs.faults.straggler_targets > targets) {
+    return "--straggler-targets " +
+           std::to_string(plat.pfs.faults.straggler_targets) +
+           " exceeds the " + std::to_string(targets) +
+           " storage targets of " + plat.name + " at " +
+           std::to_string(nodes) + " node(s)";
+  }
+  return "";
 }
 
 std::string cli_usage() {
@@ -406,17 +427,9 @@ CliConfig parse_cli(const std::vector<std::string>& args) {
   } catch (const tpio::Error& e) {
     cfg.error = e.what();
   }
-  if (cfg.error.empty() && faults.straggler_targets >
-                               cfg.spec.platform.pfs.num_targets) {
-    cfg.error = "--straggler-targets exceeds the platform's " +
-                std::to_string(cfg.spec.platform.pfs.num_targets) +
-                " storage targets";
-  }
-  if (cfg.error.empty() &&
-      cfg.spec.options.sub_comm_count > cfg.spec.nprocs) {
-    cfg.error = "--sub-comms " +
-                std::to_string(cfg.spec.options.sub_comm_count) +
-                " exceeds --procs " + std::to_string(cfg.spec.nprocs);
+  if (cfg.error.empty()) {
+    cfg.error = job_options_error(cfg.spec.options, cfg.spec.platform,
+                                  cfg.spec.nprocs, cfg.tenants);
   }
   if (cfg.error.empty()) {
     cfg.error = lane_options_error(cfg.spec.options,

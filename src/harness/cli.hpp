@@ -82,6 +82,15 @@ bool parse_arrival_arg(const std::string& s, ArrivalSpec& out);
 std::string lane_options_error(const coll::Options& o, int procs_per_node,
                                int nprocs);
 
+/// Why jobs of `nprocs` ranks on `plat`, `tenants` of them sharing one
+/// machine, cannot run the sub-communicator count of `o` or the straggler
+/// target count of the platform's fault scenario, or "" when they can:
+/// --sub-comms beyond the job's ranks, --straggler-targets beyond the
+/// storage targets the machine has. tpio_sweep passes the smallest job of
+/// its grid. The one check behind both tpio_sim and tpio_sweep.
+std::string job_options_error(const coll::Options& o, const Platform& plat,
+                              int nprocs, int tenants);
+
 /// The usage text printed for --help / errors.
 std::string cli_usage();
 

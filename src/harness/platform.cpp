@@ -94,6 +94,11 @@ Platform lustre() {
   return p;
 }
 
+int storage_targets(const Platform& p, int nodes) {
+  if (p.targets_per_node <= 0) return p.pfs.num_targets;
+  return std::max(1, nodes * p.targets_per_node);
+}
+
 void scale_geometry(Platform& p, std::uint64_t k, std::uint64_t proc_scale) {
   p.pfs.stripe_size = std::max<std::uint64_t>(p.pfs.stripe_size / k, 4096);
   // Shuffle messages are (sub-buffer / P): they shrink by k but P only

@@ -26,6 +26,11 @@ struct Platform {
   pfs::PfsParams pfs;
 };
 
+/// Storage targets of a system of `nodes` compute nodes on platform `p`:
+/// `targets_per_node` per node (at least one) for co-located storage,
+/// `pfs.num_targets` for a fixed external system.
+int storage_targets(const Platform& p, int nodes);
+
 /// University of Houston *crill*: 16 nodes x 48 cores (AMD Magny Cours),
 /// QDR InfiniBand (~2.6 GB/s node-to-node), BeeGFS v7 striped over two
 /// extra HDDs in each of the 16 compute nodes (storage shares the compute

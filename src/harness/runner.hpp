@@ -98,7 +98,8 @@ struct RunResult {
   }
 };
 
-/// Execute one job on a freshly-built simulated cluster.
+/// Execute one job on a freshly-built simulated cluster: the lone tenant
+/// of execute_multi, with the shared system seeded by spec.seed.
 RunResult execute(const RunSpec& spec);
 
 /// Resolve Options::sub_comm_count == 0 ("auto-k") by measurement: run a

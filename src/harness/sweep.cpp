@@ -108,8 +108,10 @@ std::string sweep_manifest(const char* sweep, const Platform& plat, int reps,
   if (paper_scale) m += "|paper=1";
   if (base.hierarchical) {
     // Keep hierarchical grids in their own checkpoint namespace — the job
-    // keys coincide with the flat sweep's, only the options differ.
-    m += std::string("|hier=1|leader=") + coll::to_string(base.leader_policy);
+    // keys coincide with the flat sweep's, only the options differ. The
+    // lane count is one of those options.
+    m += std::string("|hier=1|leader=") + coll::to_string(base.leader_policy) +
+         "|co=" + std::to_string(base.local_aggregators);
   }
   // Six-column (Auto) grids get their own namespace too; the executor also
   // fingerprints the job keys, so a five-column checkpoint can never be

@@ -199,9 +199,9 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
     total_nodes += topos.back().nodes;
   }
 
-  // Shared-system parameters, with noise/aio streams derived from the
-  // multi-run seed by exactly the solo runner's salts — a lone tenant with
-  // spec.seed == tenants[0].seed replays the solo schedule bit-for-bit.
+  // Shared-system parameters: fabric and storage noise streams derived
+  // from the multi-run seed, plus one aio-quality draw per run (see
+  // PfsParams::aio_penalty_sigma). xp::execute passes the job's own seed.
   net::FabricParams fp = plat.fabric;
   fp.noise_seed = sim::Rng::derive_seed(spec.seed, 0xFAB);
   pfs::PfsParams pp = plat.pfs;
@@ -212,9 +212,7 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
     pp.aio_penalty *= std::max(1.0, jitter);
     pp.aio_penalty_sigma = 0.0;
   }
-  if (plat.targets_per_node > 0) {
-    pp.num_targets = std::max(1, total_nodes * plat.targets_per_node);
-  }
+  pp.num_targets = storage_targets(plat, total_nodes);
   pp.qos = spec.qos;
 
   const net::Topology union_topo{total_nodes, plat.procs_per_node, 0};
@@ -226,9 +224,8 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
 
   // Per-(tenant, subgroup) infrastructure over the shared substrate. Every
   // tenant splits into sub_comm_count contiguous sub-communicators; the
-  // default of 1 makes the subgroup exactly the tenant, and every formula
-  // below degenerates to the historical per-tenant path bit-for-bit (the
-  // `subfiling` differential suite pins this).
+  // default of 1 makes the subgroup exactly the tenant and its file the
+  // shared file (the `subfiling` differential suite pins this).
   struct SubGroup {
     int tenant = 0;  // owning tenant
     int index = 0;   // sub-communicator index within the tenant
@@ -240,8 +237,9 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
   for (int t = 0; t < nt; ++t) {
     const RunSpec& ts = spec.tenants[static_cast<std::size_t>(t)];
     const int k = ts.options.sub_comm_count;
-    TPIO_CHECK(k >= 1, "sub_comm_count must be resolved (>= 1) by the "
-                       "harness before execution (0 = auto)");
+    TPIO_CHECK(k >= 1, "sub_comm_count must be resolved (>= 1) before "
+                       "execution; 0 = auto is decided by "
+                       "xp::auto_sub_comm_count");
     tenant_first_group.push_back(static_cast<int>(groups.size()));
     for (const auto& [base, count] : sub_comm_partition(ts.nprocs, k)) {
       groups.push_back(SubGroup{t, static_cast<int>(groups.size()) -
@@ -261,6 +259,11 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
   std::vector<int> group_sizes;
   for (int t = 0; t < nt; ++t) {
     const RunSpec& ts = spec.tenants[static_cast<std::size_t>(t)];
+    // Timing-only fast path: without verification the file records no
+    // content, fault verdicts are pure functions of offsets, and no payload
+    // byte is ever consumed — so the workload pattern is not materialized
+    // and the engines skip every host-side payload copy. All RunResult
+    // fields are bit-identical to a materialized run.
     coll::Options o = ts.options;
     o.materialize = ts.verify || spec.store_content;
     eff.push_back(o);
@@ -334,8 +337,7 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
     const SubGroup& g = groups[static_cast<std::size_t>(gi)];
     programs.push_back([&, gi, g](sim::RankCtx& ctx) {
       // The tenant's job enters the system at its arrival instant: every
-      // reservation it makes starts no earlier. An arrival of 0 is a no-op,
-      // preserving solo bit-identity.
+      // reservation it makes starts no earlier. An arrival of 0 is a no-op.
       const RunSpec& ts = spec.tenants[static_cast<std::size_t>(g.tenant)];
       ctx.advance_to(arrivals[static_cast<std::size_t>(g.tenant)]);
       smpi::Mpi mpi(*machines[static_cast<std::size_t>(gi)], ctx);
@@ -407,12 +409,17 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
         r.io_error = rr.io_error;
       }
     }
-    // Same pipelined-overlap rollup as the solo runner: 0.0 when nothing
-    // forwarded pipelined, so lone-tenant results stay field-identical.
+    // Pipelined-overlap fraction: across all lane leaders and cycles, the
+    // share of forward-message lifetime the leaders were NOT blocked on —
+    // forwarding hidden under other work (typically the next lane gather).
+    // 0.0 whenever no rank forwarded pipelined (the direct path, co = 1,
+    // one-sided).
     if (fwd_lifetime > 0) {
       r.pipelined_overlap = 1.0 - static_cast<double>(fwd_blocked) /
                                       static_cast<double>(fwd_lifetime);
     }
+    // Aggregator attribution: aggregators are the ranks that reported
+    // write time (non-aggregators never touch the file system).
     for (int rk = 0; rk < ts.nprocs; ++rk) {
       const auto& tm = res[static_cast<std::size_t>(rk)].timings;
       if (tm.write > 0) {
@@ -437,6 +444,8 @@ MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
         if (!r.verify_error.empty() && k > 1) {
           r.verify_error = f.name() + ": " + r.verify_error;
         }
+        // verify() checks consistency of what arrived; after give-ups the
+        // file can be consistently short, so also demand the full volume.
         if (r.verify_error.empty() && f.bytes_written() != want) {
           r.verify_error = "file holds " + std::to_string(f.bytes_written()) +
                            " of " + std::to_string(want) +

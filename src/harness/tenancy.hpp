@@ -40,9 +40,8 @@ std::vector<sim::Time> arrival_times(const ArrivalSpec& spec, int n,
 /// N concurrent jobs on one shared PFS + fabric. The shared system is
 /// built from `tenants[0].platform` (every tenant must run the same
 /// platform — they share the machine) sized to the union of the tenants'
-/// node blocks, with noise streams derived from `seed` exactly as the solo
-/// runner derives them — so a single tenant with spec.seed == seed is
-/// bit-identical to execute(tenants[0]).
+/// node blocks, with noise streams derived from `seed`. This is the one
+/// run path: xp::execute(spec) is the lone tenant with seed = spec.seed.
 struct MultiRunSpec {
   std::vector<RunSpec> tenants;
   ArrivalSpec arrival;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/cli.hpp"
+#include "harness/sweep.hpp"
 #include "simbase/error.hpp"
 #include "simbase/units.hpp"
 
@@ -146,4 +147,41 @@ TEST(Cli, EndToEndTinyRun) {
   const xp::Series s = xp::execute_series(cfg.spec, cfg.reps, cfg.seed_base);
   EXPECT_EQ(s.runs.size(), 2u);
   EXPECT_GT(s.min_makespan(), 0);
+}
+
+TEST(Cli, RejectsSubCommsBeyondTheJob) {
+  EXPECT_TRUE(parse({"--procs", "8", "--sub-comms", "8"}).error.empty());
+  const auto cfg = parse({"--procs", "8", "--sub-comms", "9"});
+  EXPECT_NE(cfg.error.find("--sub-comms 9"), std::string::npos) << cfg.error;
+  // tpio_sweep checks its grid's smallest job the same way.
+  coll::Options o;
+  o.sub_comm_count = 32;
+  const xp::Platform ibex = xp::scaled(xp::ibex());
+  EXPECT_NE(xp::job_options_error(o, ibex, 16, 1), "");
+  o.sub_comm_count = 16;
+  EXPECT_EQ(xp::job_options_error(o, ibex, 16, 1), "");
+}
+
+TEST(Cli, RejectsStragglerTargetsBeyondTheMachine) {
+  // ibex: a fixed external system of 16 targets.
+  EXPECT_TRUE(parse({"--straggler-targets", "16"}).error.empty());
+  auto cfg = parse({"--straggler-targets", "17"});
+  EXPECT_NE(cfg.error.find("--straggler-targets 17"), std::string::npos)
+      << cfg.error;
+  // crill: one target per node, so 16 procs (2 nodes of 12) see 2 targets
+  // and three such tenants see 6.
+  EXPECT_TRUE(parse({"--platform", "crill", "--procs", "16",
+                     "--straggler-targets", "2"})
+                  .error.empty());
+  cfg = parse({"--platform", "crill", "--procs", "16", "--straggler-targets",
+               "3"});
+  EXPECT_NE(cfg.error.find("2 storage targets"), std::string::npos)
+      << cfg.error;
+  EXPECT_TRUE(parse({"--platform", "crill", "--procs", "16", "--tenants", "3",
+                     "--straggler-targets", "6"})
+                  .error.empty());
+  // tpio_sweep passes its scaled platform with the fault scenario.
+  xp::Platform ibex = xp::scaled(xp::ibex());
+  ibex.pfs.faults.straggler_targets = 500;
+  EXPECT_NE(xp::job_options_error(coll::Options{}, ibex, 16, 1), "");
 }

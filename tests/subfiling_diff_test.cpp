@@ -1,10 +1,10 @@
 // Differential suite pinning the subfiling machinery's k == 1 degeneracy:
-// a shared-file run routed through the multi-group machinery (forced by a
-// per-subfile striping override equal to the platform default) must be
-// bit-identical field-by-field to the inline solo runner, on every
-// scheduler, shuffle primitive, hierarchy setting, seed and --jobs value.
-// This is the contract that lets Options::sub_comm_count default to 1
-// without perturbing a single historical result.
+// a shared-file run with a per-subfile striping override equal to the
+// platform default must be bit-identical field-by-field to the same run
+// without the override, on every scheduler, shuffle primitive, hierarchy
+// setting, seed and --jobs value. This is the contract that lets
+// Options::sub_comm_count default to 1 without perturbing a single
+// historical result.
 //
 // Registered under the `subfiling` ctest label (tests/CMakeLists.txt).
 

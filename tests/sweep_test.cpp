@@ -176,3 +176,38 @@ TEST(Sweep, ResumeFromCheckpointReproducesTable) {
   }
   std::remove(path.c_str());
 }
+
+TEST(Sweep, ResumeWithDifferentLocalAggregatorsIsRefused) {
+  // Hierarchical grids at co = 2 and co = 4 share every job key; the
+  // checkpoint manifest must tell them apart, or a co = 4 rerun would
+  // silently reprint the co = 2 table.
+  const std::string path =
+      std::string(::testing::TempDir()) + "sweep_resume_co_ckpt.json";
+  std::remove(path.c_str());
+  xp::ExecOptions e;
+  e.jobs = 2;
+  e.checkpoint = path;
+  coll::Options co2;
+  co2.hierarchical = true;
+  co2.local_aggregators = 2;
+  xp::run_primitive_sweep(xp::crill(), co2, 1, 99, true, e);
+  xp::Checkpoint before;
+  ASSERT_TRUE(xp::checkpoint_load(path, before));
+
+  coll::Options co4 = co2;
+  co4.local_aggregators = 4;
+  try {
+    xp::run_primitive_sweep(xp::crill(), co4, 1, 99, true, e);
+    FAIL() << "a co = 4 sweep must not resume a co = 2 checkpoint";
+  } catch (const tpio::Error& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("|co=2"), std::string::npos) << what;
+    EXPECT_NE(what.find("|co=4"), std::string::npos) << what;
+  }
+  // The refused checkpoint is left as it was.
+  xp::Checkpoint after;
+  ASSERT_TRUE(xp::checkpoint_load(path, after));
+  EXPECT_EQ(after.manifest, before.manifest);
+  EXPECT_EQ(after.done, before.done);
+  std::remove(path.c_str());
+}

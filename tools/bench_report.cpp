@@ -296,7 +296,7 @@ struct IntranodePoint {
   std::vector<double> sim_ms;        // parallel to cos
   std::vector<double> gather_ms;     // intra-node critical path
   std::vector<double> overlap;       // pipelined-overlap fraction
-  int winner_by_gather = 1;          // co with the shortest gather chain
+  int winner_by_gather = 1;          // co < ppn with the shortest gather
   int winner_by_makespan = 1;
 };
 
@@ -341,9 +341,13 @@ std::vector<IntranodePoint> time_intranode() {
       p.gather_ms.push_back(static_cast<double>(r.gather_critical) / 1e6);
       p.overlap.push_back(c.pipelined_overlap);
     }
+    // co = ppn is the direct shuffle, which gathers nothing: it competes
+    // on makespan only.
     std::size_t bg = 0, bm = 0;
     for (std::size_t i = 1; i < p.cos.size(); ++i) {
-      if (p.gather_ms[i] < p.gather_ms[bg]) bg = i;
+      if (p.cos[i] < plat.procs_per_node && p.gather_ms[i] < p.gather_ms[bg]) {
+        bg = i;
+      }
       if (p.sim_ms[i] < p.sim_ms[bm]) bm = i;
     }
     p.winner_by_gather = p.cos[bg];

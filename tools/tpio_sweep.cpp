@@ -206,13 +206,20 @@ int main(int argc, char** argv) {
   // resume from a healthy checkpoint (or vice versa).
   plat.pfs.faults = faults;
 
-  // The sweep runs with automatic aggregator selection, so the job size
-  // does not enter the check.
-  if (const std::string err =
-          xp::lane_options_error(base, plat.procs_per_node, /*nprocs=*/0);
-      !err.empty()) {
-    std::fprintf(stderr, "%s\n", err.c_str());
-    return 2;
+  // Reject what no grid job can run before the CSV header: the checks see
+  // the scaled platform the sweep runs and the grid's smallest job. The
+  // sweep selects aggregators automatically, so the job size does not
+  // enter the lane check.
+  const xp::Platform run_plat = xp::scaled(plat);
+  const int smallest = xp::paper_proc_counts(quick).front();
+  for (const std::string& err :
+       {xp::lane_options_error(base, run_plat.procs_per_node, /*nprocs=*/0),
+        xp::job_options_error(base, run_plat, smallest,
+                              static_cast<int>(tenants))}) {
+    if (!err.empty()) {
+      std::fprintf(stderr, "%s\n", err.c_str());
+      return 2;
+    }
   }
 
   // The executor refuses stale --resume checkpoints (and other invariant
