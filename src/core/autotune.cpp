@@ -90,8 +90,10 @@ std::string platform_signature(const net::Topology& topo,
                                const pfs::PfsParams& pfs) {
   // Only knobs that shape the comm/IO balance; per-run noise seeds and the
   // (jittered) aio penalty stay out so reps of one machine share a key.
-  std::string s = "n" + std::to_string(topo.nodes) + "x" +
-                  std::to_string(topo.procs_per_node);
+  std::string s = "n";
+  s += std::to_string(topo.nodes);
+  s += "x";
+  s += std::to_string(topo.procs_per_node);
   s += "|net" + num(fabric.inter_bw) + "/" + num(fabric.intra_bw);
   s += "|eager" + std::to_string(mpi.eager_limit);
   s += "|tgt" + std::to_string(pfs.num_targets) + "x" + num(pfs.target_bw);
@@ -103,7 +105,8 @@ std::string platform_signature(const net::Topology& topo,
 
 std::string workload_signature(int nprocs, std::uint64_t global_bytes,
                                const Options& opt) {
-  std::string s = "P" + std::to_string(nprocs);
+  std::string s = "P";
+  s += std::to_string(nprocs);
   s += "|b" + std::to_string(global_bytes);
   s += "|cb" + std::to_string(opt.cb_size);
   s += "|agg" + std::to_string(opt.num_aggregators);

@@ -1146,6 +1146,16 @@ namespace {
 Result run_collective(Direction dir, smpi::Mpi& mpi, pfs::File& file,
                       const FileView& view, std::span<const std::byte> data,
                       std::span<std::byte> out, const Options& opt) {
+  // Reject options the plan cannot honour before the first collective, so
+  // every rank fails at once instead of mid-run.
+  const std::string error =
+      options_error(opt, mpi.machine().fabric().topology(), dir);
+  if (!error.empty()) {
+    std::string msg =
+        dir == Direction::Write ? "collective_write: " : "collective_read: ";
+    msg += error;
+    tpio::fail(msg);
+  }
   view.validate();
   TPIO_CHECK((dir == Direction::Write ? data.size() : out.size()) ==
                  view.total_bytes(),
@@ -1271,38 +1281,11 @@ Result run_collective(Direction dir, smpi::Mpi& mpi, pfs::File& file,
 
 Result collective_write(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
                         std::span<const std::byte> data, const Options& opt) {
-  // Reject lane counts the plan cannot honour before the first collective,
-  // so every rank fails at once instead of mid-run.
-  const int ppn = mpi.machine().fabric().topology().procs_per_node;
-  if (opt.local_aggregators < 1) {
-    tpio::fail("collective_write: Options::local_aggregators = " +
-               std::to_string(opt.local_aggregators) + " must be at least 1");
-  }
-  if (opt.hierarchical && opt.local_aggregators > ppn) {
-    tpio::fail("collective_write: Options::local_aggregators = " +
-               std::to_string(opt.local_aggregators) + " exceeds the " +
-               std::to_string(ppn) + " processes per node");
-  }
   return run_collective(Direction::Write, mpi, file, view, data, {}, opt);
 }
 
 Result collective_read(smpi::Mpi& mpi, pfs::File& file, const FileView& view,
                        std::span<std::byte> out, const Options& opt) {
-  // Reject what the read direction does not implement before the first
-  // collective, so every rank fails at once instead of mid-run.
-  if (opt.transfer != Transfer::TwoSided) {
-    tpio::fail(std::string("collective_read: Options::transfer = ") +
-               to_string(opt.transfer) +
-               " is not supported; reads scatter two-sided");
-  }
-  if (opt.hierarchical) {
-    tpio::fail("collective_read: Options::hierarchical is not supported; "
-               "reads scatter flat");
-  }
-  if (opt.local_aggregators > 1) {
-    tpio::fail("collective_read: Options::local_aggregators > 1 is not "
-               "supported; reads scatter flat");
-  }
   return run_collective(Direction::Read, mpi, file, view, {}, out, opt);
 }
 

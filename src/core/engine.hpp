@@ -11,11 +11,6 @@
 
 namespace tpio::coll {
 
-/// Which way a two-phase collective moves data. A write shuffles the
-/// ranks' pieces to the aggregators, then writes the sub-buffers; a read
-/// reads the sub-buffers, then scatters the pieces back to the ranks.
-enum class Direction { Write, Read };
-
 /// Execution engine of one two-phase collective on one rank, in either
 /// direction.
 ///

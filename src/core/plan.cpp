@@ -1,6 +1,7 @@
 #include "core/plan.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "simbase/error.hpp"
 
@@ -19,6 +20,74 @@ int auto_aggregator_count(std::uint64_t total_bytes, std::uint64_t cb_size,
 
 int lanes_per_node(const Options& opt, const net::Topology& topo) {
   return opt.hierarchical ? opt.local_aggregators : topo.procs_per_node;
+}
+
+int aggregator_rank(int i, const net::Topology& topo) {
+  const int node = i % topo.nodes;
+  const int rank = topo.node_first(node) + i / topo.nodes;
+  return rank < topo.node_last(node) ? rank : -1;
+}
+
+namespace {
+
+/// "Options::<name> = <value>", the head of every options_error message.
+std::string field(const char* name, long long value) {
+  std::string s = "Options::";
+  s += name;
+  s += " = ";
+  s += std::to_string(value);
+  return s;
+}
+
+}  // namespace
+
+std::string options_error(const Options& opt, const net::Topology& topo,
+                          Direction dir) {
+  const int ppn = topo.procs_per_node;
+  const int co = opt.local_aggregators;
+  if (co < 1) return field("local_aggregators", co) + " must be at least 1";
+  if (co > ppn) {
+    return field("local_aggregators", co) + " exceeds the " +
+           std::to_string(ppn) + " processes per node";
+  }
+  if (dir == Direction::Read) {
+    if (opt.transfer != Transfer::TwoSided) {
+      return std::string("Options::transfer = ") + to_string(opt.transfer) +
+             " is not supported; reads scatter two-sided";
+    }
+    if (opt.hierarchical) {
+      return "Options::hierarchical is not supported; reads scatter flat";
+    }
+    if (co > 1) {
+      return field("local_aggregators", co) +
+             " is not supported; reads scatter flat at co = 1";
+    }
+  }
+  const auto cb = static_cast<long long>(opt.cb_size);
+  if (cb == 0) return field("cb_size", cb) + " leaves no sub-buffer";
+  // PlanSkeleton: every mode but None (Auto included) splits the buffer.
+  if (cb == 1 && opt.overlap != OverlapMode::None) {
+    return field("cb_size", cb) +
+           " cannot split into two sub-buffers under Options::overlap = " +
+           to_string(opt.overlap);
+  }
+  if (opt.num_aggregators > 0) {
+    // Node-major placement fills each node's slots in order, so the count
+    // fits when every node's last aggregator does.
+    const int A = std::min(opt.num_aggregators, topo.nprocs());
+    for (int node = 0; node < std::min(A, topo.nodes); ++node) {
+      const int last = node + (A - 1 - node) / topo.nodes * topo.nodes;
+      if (aggregator_rank(last, topo) < 0) {
+        return field("num_aggregators", opt.num_aggregators) + " places " +
+               std::to_string(last / topo.nodes + 1) +
+               " aggregators on node " + std::to_string(node) +
+               ", which holds " +
+               std::to_string(topo.node_last(node) - topo.node_first(node)) +
+               " rank(s)";
+      }
+    }
+  }
+  return "";
 }
 
 PlanSkeleton::PlanSkeleton(std::span<const ViewSummary> summaries,
@@ -50,11 +119,8 @@ PlanSkeleton::PlanSkeleton(std::span<const ViewSummary> summaries,
   agg_ranks_.reserve(static_cast<std::size_t>(A));
   agg_index_of_rank_.assign(static_cast<std::size_t>(P), -1);
   for (int i = 0; i < A; ++i) {
-    const int node = i % topo.nodes;
-    const int slot = i / topo.nodes;
-    const int rank = topo.node_first(node) + slot;
-    TPIO_CHECK(rank < topo.node_last(node),
-               "more aggregators than processes on a node");
+    const int rank = aggregator_rank(i, topo);
+    TPIO_CHECK(rank >= 0, "more aggregators than processes on a node");
     TPIO_CHECK(agg_index_of_rank_[static_cast<std::size_t>(rank)] == -1,
                "duplicate aggregator placement");
     agg_index_of_rank_[static_cast<std::size_t>(rank)] = i;

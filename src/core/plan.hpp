@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -211,6 +212,29 @@ class Plan {
 /// lane per rank, which is the direct shuffle. The only reader of
 /// Options::hierarchical on the write path.
 int lanes_per_node(const Options& opt, const net::Topology& topo);
+
+/// Which way a two-phase collective moves data. A write shuffles the
+/// ranks' pieces to the aggregators, then writes the sub-buffers; a read
+/// reads the sub-buffers, then scatters the pieces back to the ranks.
+enum class Direction { Write, Read };
+
+/// Rank that node-major placement gives global aggregator `i`: slot
+/// i / nodes of node i % nodes, or -1 when that node holds fewer ranks.
+/// PlanSkeleton places through it and options_error checks against it.
+int aggregator_rank(int i, const net::Topology& topo);
+
+/// Why a collective in direction `dir` cannot run `opt` on `topo`, or ""
+/// when it can; the message names the Options field. The one owner of the
+/// engine's option rules:
+///   - local_aggregators lies in [1, procs_per_node], hierarchical or not;
+///   - a read is two-sided, flat (not hierarchical) and runs at co <= 1;
+///   - cb_size leaves a non-empty sub-buffer: at least 1 byte under
+///     OverlapMode::None, at least 2 under the modes that split it;
+///   - an explicit num_aggregators (clamped to the rank count) fits
+///     node-major placement on every node of `topo`, partial first and
+///     last nodes of a sub-view included.
+std::string options_error(const Options& opt, const net::Topology& topo,
+                          Direction dir);
 
 /// Automatic aggregator-count selection (approximation of Chaarawi &
 /// Gabriel's runtime algorithm, ref [5]): enough aggregators that each has

@@ -124,8 +124,9 @@ struct Options {
   /// default) is the single-leader scheme; 1 < co < ppn additionally
   /// pipelines each lane's intra-node gather against its inter-node
   /// forwards (the per-cycle lane-leader barrier is dropped); co = ppn is
-  /// the direct shuffle. collective_write rejects co < 1 and co > ppn;
-  /// partially filled nodes clamp to their member count.
+  /// the direct shuffle. coll::options_error rejects co < 1 and co > ppn,
+  /// hierarchical or not; partially filled nodes clamp to their member
+  /// count.
   int local_aggregators = 1;
   /// OverlapMode::Auto: leading cycles executed as blocking probes before
   /// the scheduler is chosen (clamped to the operation's cycle count).

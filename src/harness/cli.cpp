@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "harness/sweep.hpp"
-#include "net/topology.hpp"
 #include "simbase/error.hpp"
 #include "simbase/units.hpp"
 
@@ -144,49 +143,20 @@ Platform platform_by_name(const std::string& name) {
   tpio::fail("unknown platform '" + name + "' (crill|ibex|lustre)");
 }
 
-std::string lane_options_error(const coll::Options& o, int procs_per_node,
-                               int nprocs) {
-  const int co = o.local_aggregators;
-  if (co > procs_per_node) {
-    return "--local-aggs " + std::to_string(co) + " exceeds the platform's " +
-           std::to_string(procs_per_node) + " processes per node";
+MultiRunSpec cli_multi_spec(const CliConfig& cfg) {
+  MultiRunSpec ms;
+  ms.tenants.assign(static_cast<std::size_t>(cfg.tenants), cfg.spec);
+  for (std::size_t t = 1; t < ms.tenants.size(); ++t) {
+    ms.tenants[t].options.overlap = coll::OverlapMode::None;
   }
-  if (o.leader_policy != coll::LeaderPolicy::Superset || co <= 1) return "";
-  // Superset needs one global aggregator per lane leader, or the fill
-  // degenerates to Spread picks. Placement is round-robin over nodes, so
-  // the per-node capacity is ceil(A / nodes); automatic aggregator
-  // selection guarantees only one.
-  int per_node = 1;
-  if (o.num_aggregators > 0) {
-    const int nodes = std::max(1, (nprocs + procs_per_node - 1) / procs_per_node);
-    const int a = std::min(o.num_aggregators, nprocs);
-    per_node = (a + nodes - 1) / nodes;
+  ms.arrival = cfg.arrival;
+  ms.qos = cfg.qos;
+  if (cfg.qos == pfs::QosPolicy::Priority) {
+    // The measured tenant rides the top class; neighbors are best-effort.
+    ms.priorities.assign(ms.tenants.size(), 0);
+    ms.priorities[0] = 1;
   }
-  if (co <= per_node) return "";
-  return "--leader superset with --local-aggs " + std::to_string(co) +
-         " exceeds the " + std::to_string(per_node) +
-         " global aggregator(s) placed per node; lower --local-aggs or use "
-         "--leader spread";
-}
-
-std::string job_options_error(const coll::Options& o, const Platform& plat,
-                              int nprocs, int tenants) {
-  if (o.sub_comm_count > nprocs) {
-    return "--sub-comms " + std::to_string(o.sub_comm_count) +
-           " exceeds a job of " + std::to_string(nprocs) + " processes";
-  }
-  // Tenants occupy disjoint node blocks of one machine (execute_multi).
-  const int nodes =
-      tenants * net::Topology::fit(nprocs, plat.procs_per_node).nodes;
-  const int targets = storage_targets(plat, nodes);
-  if (plat.pfs.faults.straggler_targets > targets) {
-    return "--straggler-targets " +
-           std::to_string(plat.pfs.faults.straggler_targets) +
-           " exceeds the " + std::to_string(targets) +
-           " storage targets of " + plat.name + " at " +
-           std::to_string(nodes) + " node(s)";
-  }
-  return "";
+  return ms;
 }
 
 std::string cli_usage() {
@@ -427,21 +397,7 @@ CliConfig parse_cli(const std::vector<std::string>& args) {
   } catch (const tpio::Error& e) {
     cfg.error = e.what();
   }
-  if (cfg.error.empty()) {
-    cfg.error = job_options_error(cfg.spec.options, cfg.spec.platform,
-                                  cfg.spec.nprocs, cfg.tenants);
-  }
-  if (cfg.error.empty()) {
-    cfg.error = lane_options_error(cfg.spec.options,
-                                   cfg.spec.platform.procs_per_node,
-                                   cfg.spec.nprocs);
-  }
-  if (cfg.error.empty() && cfg.arrival.model == ArrivalModel::Trace &&
-      static_cast<int>(cfg.arrival.trace.size()) != cfg.tenants) {
-    cfg.error = "--arrival trace lists " +
-                std::to_string(cfg.arrival.trace.size()) +
-                " instants but --tenants is " + std::to_string(cfg.tenants);
-  }
+  if (cfg.error.empty()) cfg.error = spec_error(cli_multi_spec(cfg));
   return cfg;
 }
 

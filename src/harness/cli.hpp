@@ -73,23 +73,12 @@ bool parse_double_arg(const std::string& s, double lo, double hi,
 /// on malformed input, leaving `out` untouched.
 bool parse_arrival_arg(const std::string& s, ArrivalSpec& out);
 
-/// Why the lane options of `o` cannot run on nodes of `procs_per_node`
-/// processes in an `nprocs`-rank job, or "" when they can: --local-aggs
-/// beyond the node size, or --leader superset with more lanes than the
-/// global aggregators placed per node (one under automatic selection;
-/// `nprocs` only matters when Options::num_aggregators is set). The one
-/// check behind both tpio_sim and tpio_sweep.
-std::string lane_options_error(const coll::Options& o, int procs_per_node,
-                               int nprocs);
-
-/// Why jobs of `nprocs` ranks on `plat`, `tenants` of them sharing one
-/// machine, cannot run the sub-communicator count of `o` or the straggler
-/// target count of the platform's fault scenario, or "" when they can:
-/// --sub-comms beyond the job's ranks, --straggler-targets beyond the
-/// storage targets the machine has. tpio_sweep passes the smallest job of
-/// its grid. The one check behind both tpio_sim and tpio_sweep.
-std::string job_options_error(const coll::Options& o, const Platform& plat,
-                              int nprocs, int tenants);
+/// The shared system tpio_sim runs for `cfg`: `cfg.tenants` copies of
+/// the measured spec, every tenant after the first on the NoOverlap
+/// scheduler, with the parsed arrival and QoS (under Priority the measured
+/// tenant rides the top class). parse_cli refuses any config whose system
+/// fails xp::spec_error.
+MultiRunSpec cli_multi_spec(const CliConfig& cfg);
 
 /// The usage text printed for --help / errors.
 std::string cli_usage();

@@ -338,16 +338,16 @@ std::vector<double> run_jobs(const std::vector<SweepJob>& jobs,
         tpio::fail("checkpoint " + opt.checkpoint +
                    " belongs to a different sweep\n  file manifest: " +
                    prior.manifest + "\n  this run:      " + opt.manifest +
-                   "\ndelete the file (or point --checkpoint elsewhere) to "
-                   "start fresh");
+                   "\ndelete the file, or resume from another one, to start "
+                   "fresh");
       }
       if (prior.grid != st.checkpoint.grid) {
         tpio::fail("checkpoint " + opt.checkpoint +
                    " was written against a different job grid (same "
                    "manifest, different cases/modes/order)\n  file grid: " +
                    prior.grid + "\n  this run:  " + st.checkpoint.grid +
-                   "\ndelete the file (or point --checkpoint elsewhere) to "
-                   "start fresh");
+                   "\ndelete the file, or resume from another one, to start "
+                   "fresh");
       }
       for (std::size_t i = 0; i < jobs.size(); ++i) {
         const auto it = prior.done.find(jobs[i].key);

@@ -19,18 +19,23 @@ RunResult execute(const RunSpec& spec) {
   return std::move(execute_multi(ms).tenants[0].run);
 }
 
-int auto_sub_comm_count(const RunSpec& spec) {
+std::vector<int> auto_sub_comm_candidates(const RunSpec& spec) {
   const net::Topology topo =
       net::Topology::fit(spec.nprocs, spec.platform.procs_per_node);
-  const int num_targets = storage_targets(spec.platform, topo.nodes);
+  std::vector<int> ks = coll::sub_comm_candidates(
+      topo, storage_targets(spec.platform, topo.nodes));
+  std::erase_if(ks, [&](int k) { return k > spec.nprocs; });
+  return ks;
+}
+
+int auto_sub_comm_count(const RunSpec& spec) {
   // Blocking probe runs at doubling k, lazily: the search stops at the
   // first candidate that fails the improvement floor, so the common
   // shared-file answer costs two probes. Probes are virtual-time runs of
   // the spec itself (same seed), so the decision is a pure function of
   // the spec — deterministic across workers and repeated runs.
   std::vector<double> probe_ms;
-  for (const int k : coll::sub_comm_candidates(topo, num_targets)) {
-    if (k > spec.nprocs) break;
+  for (const int k : auto_sub_comm_candidates(spec)) {
     RunSpec probe = spec;
     probe.options.sub_comm_count = k;
     probe.options.overlap = coll::OverlapMode::None;

@@ -113,6 +113,9 @@ RunResult execute(const RunSpec& spec);
 /// the result is a pure function of the spec. Returns k >= 1; the caller
 /// stores it into Options::sub_comm_count before execute().
 int auto_sub_comm_count(const RunSpec& spec);
+/// The k values auto_sub_comm_count may probe for `spec`, ascending: the
+/// coll::sub_comm_candidates of its own machine that fit its rank count.
+std::vector<int> auto_sub_comm_candidates(const RunSpec& spec);
 
 /// Minimum makespan across `reps` seeds (the paper compares per-point
 /// minima across 3-9 measurements; see section IV).

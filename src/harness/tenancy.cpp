@@ -169,22 +169,148 @@ std::string subfiling_tag(const coll::Options& opt) {
   return tag;
 }
 
-MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
-  const int nt = static_cast<int>(spec.tenants.size());
-  TPIO_CHECK(nt > 0, "multi-run needs at least one tenant");
-  TPIO_CHECK(spec.weights.empty() ||
-                 static_cast<int>(spec.weights.size()) == nt,
-             "weights must be empty or one per tenant");
-  TPIO_CHECK(spec.priorities.empty() ||
-                 static_cast<int>(spec.priorities.size()) == nt,
-             "priorities must be empty or one per tenant");
-  const Platform& plat = spec.tenants[0].platform;
-  for (const RunSpec& t : spec.tenants) {
-    TPIO_CHECK(t.nprocs > 0, "run needs processes");
-    TPIO_CHECK(t.platform.name == plat.name &&
-                   t.platform.procs_per_node == plat.procs_per_node,
-               "tenants must share one platform (they share the machine)");
+namespace {
+
+/// Straggler targets beyond the storage targets of `nodes` nodes of
+/// `plat`, or "".
+std::string straggler_error(const Platform& plat, int nodes) {
+  const int targets = storage_targets(plat, nodes);
+  if (plat.pfs.faults.straggler_targets <= targets) return "";
+  return "FaultParams::straggler_targets = " +
+         std::to_string(plat.pfs.faults.straggler_targets) + " exceeds the " +
+         std::to_string(targets) + " storage targets of " + plat.name +
+         " at " + std::to_string(nodes) + " node(s)";
+}
+
+/// spec_error's rules for one tenant's job on its node block `topo`;
+/// `who` prefixes every message.
+std::string tenant_error(const RunSpec& ts, const net::Topology& topo,
+                         const std::string& who) {
+  const coll::Options& o = ts.options;
+  const int k = o.sub_comm_count;
+  if (k < 0) {
+    return who + "Options::sub_comm_count = " + std::to_string(k) +
+           " must be at least 0 (0 = auto)";
   }
+  if (k > ts.nprocs) {
+    return who + "Options::sub_comm_count = " + std::to_string(k) +
+           " exceeds a job of " + std::to_string(ts.nprocs) + " processes";
+  }
+  if (k == 0) {
+    // auto_sub_comm_count probes the job alone, on its own node block.
+    const std::string error = straggler_error(ts.platform, topo.nodes);
+    if (!error.empty()) {
+      return who + error + ", where Options::sub_comm_count = 0 probes it";
+    }
+  }
+  for (const int kk : k == 0 ? auto_sub_comm_candidates(ts)
+                             : std::vector<int>{k}) {
+    const auto parts = sub_comm_partition(ts.nprocs, kk);
+    for (std::size_t g = 0; g < parts.size(); ++g) {
+      const auto [base, count] = parts[g];
+      const std::string error = coll::options_error(
+          o, net::Topology::sub_view(topo, base, count),
+          coll::Direction::Write);
+      if (error.empty()) continue;
+      std::string where = who;
+      if (kk > 1) {
+        where += "sub-communicator " + std::to_string(g) + " of " +
+                 std::to_string(kk) + " (ranks " + std::to_string(base) +
+                 "-" + std::to_string(base + count - 1) + "): ";
+      }
+      return where + error;
+    }
+  }
+  // Superset places lane leaders on the node's global aggregators, so it
+  // needs one per lane. Node-major placement gives a node at most
+  // ceil(A / nodes) of them; automatic selection guarantees only one. At
+  // co = ppn every lane is one rank leading itself: nothing to place.
+  const int co = o.local_aggregators;
+  if (o.leader_policy != coll::LeaderPolicy::Superset || co <= 1 ||
+      co >= topo.procs_per_node) {
+    return "";
+  }
+  int per_node = 1;
+  if (o.num_aggregators > 0) {
+    const int a = std::min(o.num_aggregators, ts.nprocs);
+    per_node = (a + topo.nodes - 1) / topo.nodes;
+  }
+  if (co <= per_node) return "";
+  return who + "Options::leader_policy = superset with "
+               "Options::local_aggregators = " + std::to_string(co) +
+         " exceeds the " + std::to_string(per_node) +
+         " global aggregator(s) placed per node; lower local_aggregators "
+         "or use the spread policy";
+}
+
+}  // namespace
+
+std::string spec_error(const MultiRunSpec& spec) {
+  const int nt = static_cast<int>(spec.tenants.size());
+  if (nt == 0) return "MultiRunSpec::tenants is empty";
+  // Per-tenant lists; empty weights and priorities mean uniform.
+  struct List {
+    const char* name;
+    std::size_t size;
+    bool given;
+  };
+  for (const List& l :
+       {List{"MultiRunSpec::weights", spec.weights.size(),
+             !spec.weights.empty()},
+        List{"MultiRunSpec::priorities", spec.priorities.size(),
+             !spec.priorities.empty()},
+        List{"ArrivalSpec::trace", spec.arrival.trace.size(),
+             spec.arrival.model == ArrivalModel::Trace}}) {
+    if (l.given && static_cast<int>(l.size) != nt) {
+      std::string e = l.name;
+      e += " lists ";
+      e += std::to_string(l.size);
+      e += " entries for ";
+      e += std::to_string(nt);
+      e += " tenant(s)";
+      return e;
+    }
+  }
+  const Platform& plat = spec.tenants[0].platform;
+  int nodes = 0;
+  for (int t = 0; t < nt; ++t) {
+    const RunSpec& ts = spec.tenants[static_cast<std::size_t>(t)];
+    if (ts.platform.name != plat.name ||
+        ts.platform.procs_per_node != plat.procs_per_node) {
+      return "tenant " + std::to_string(t) + " runs platform " +
+             ts.platform.name + ", tenant 0 runs " + plat.name +
+             "; tenants share one machine";
+    }
+    if (ts.nprocs < 1) {
+      return "tenant " + std::to_string(t) + ": RunSpec::nprocs = " +
+             std::to_string(ts.nprocs) + " must be at least 1";
+    }
+    nodes += net::Topology::fit(ts.nprocs, plat.procs_per_node).nodes;
+  }
+  // Tenants occupy disjoint node blocks of one machine (execute_multi).
+  const std::string straggler = straggler_error(plat, nodes);
+  if (!straggler.empty()) return straggler;
+  for (int t = 0; t < nt; ++t) {
+    const RunSpec& ts = spec.tenants[static_cast<std::size_t>(t)];
+    const std::string error = tenant_error(
+        ts, net::Topology::fit(ts.nprocs, plat.procs_per_node),
+        nt > 1 ? "tenant " + std::to_string(t) + ": " : "");
+    if (!error.empty()) return error;
+  }
+  return "";
+}
+
+std::string spec_error(const RunSpec& spec) {
+  MultiRunSpec lone;
+  lone.tenants = {spec};
+  return spec_error(lone);
+}
+
+MultiRunResult execute_multi(const MultiRunSpec& spec, bool with_baselines) {
+  const std::string error = spec_error(spec);
+  if (!error.empty()) tpio::fail(error);
+  const int nt = static_cast<int>(spec.tenants.size());
+  const Platform& plat = spec.tenants[0].platform;
 
   // Tenant node blocks: tenant t owns global nodes
   // [offset_t, offset_t + nodes_t) of the shared machine.
@@ -487,12 +613,19 @@ std::string tenancy_tag(const MultiRunSpec& spec) {
       spec.arrival.model == ArrivalModel::Fixed && spec.arrival.gap == 0 &&
       spec.weights.empty() && spec.priorities.empty();
   if (trivial) return {};
-  std::string tag = "|tenants=" + std::to_string(spec.tenants.size()) +
-                    "|qos=" + to_string(spec.qos) +
-                    "|arrival=" + to_string(spec.arrival.model) + ":" +
-                    std::to_string(spec.arrival.gap);
+  std::string tag = "|tenants=";
+  tag += std::to_string(spec.tenants.size());
+  tag += "|qos=";
+  tag += to_string(spec.qos);
+  tag += "|arrival=";
+  tag += to_string(spec.arrival.model);
+  tag += ":";
+  tag += std::to_string(spec.arrival.gap);
   if (spec.arrival.model == ArrivalModel::Trace) {
-    for (sim::Time t : spec.arrival.trace) tag += "," + std::to_string(t);
+    for (sim::Time t : spec.arrival.trace) {
+      tag += ",";
+      tag += std::to_string(t);
+    }
   }
   if (!spec.weights.empty()) {
     tag += "|w=";

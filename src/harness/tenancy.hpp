@@ -59,6 +59,27 @@ struct MultiRunSpec {
   bool store_content = false;
 };
 
+/// Why execute_multi cannot run `spec`, or "" when it can. The one entry
+/// check of a run; execute_multi, tpio_sim and tpio_sweep all call it.
+/// Rules:
+///   - coll::options_error on every (tenant, sub-communicator) topology,
+///     built as execute_multi builds it (Topology::sub_view of the
+///     tenant's block); at Options::sub_comm_count = 0 (auto) for every k
+///     auto_sub_comm_count may probe;
+///   - sub_comm_count lies in [0, nprocs];
+///   - FaultParams::straggler_targets is at most the storage targets of
+///     the whole shared machine, and of the tenant's own node block when
+///     its auto-k probes run it alone;
+///   - tenants run one platform (they share the machine);
+///   - weights, priorities and an arrival trace list one entry per tenant;
+///   - under LeaderPolicy::Superset with 1 < co < ppn, every lane leader
+///     gets a global aggregator: co is at most ceil(A / nodes) of the
+///     tenant's job (1 under automatic selection). The core accepts the
+///     Spread fill Superset degrades to; the harness refuses it.
+std::string spec_error(const MultiRunSpec& spec);
+/// spec_error of `spec` run as a lone tenant (xp::execute).
+std::string spec_error(const RunSpec& spec);
+
 /// One tenant's outcome plus its interference accounting.
 struct TenantResult {
   RunResult run;       // arrival/completion filled; makespan = turnaround

@@ -337,14 +337,20 @@ TEST(TuningCache, ConcurrentWritersOfDistinctKeysLoseNothing) {
   TempFile f("autotune_cache_race.json");
   constexpr int kWriters = 8;
   constexpr int kKeysPerWriter = 10;
+  const auto key_of = [](int w, int k) {
+    std::string key = "w";
+    key += std::to_string(w);
+    key += "/k";
+    key += std::to_string(k);
+    return key;
+  };
   {
     std::vector<std::jthread> pool;
     for (int w = 0; w < kWriters; ++w) {
       pool.emplace_back([&, w] {
         for (int k = 0; k < kKeysPerWriter; ++k) {
-          coll::TuningCache::store(
-              f.path, "w" + std::to_string(w) + "/k" + std::to_string(k),
-              static_cast<coll::OverlapMode>((w + k) % 5));
+          coll::TuningCache::store(f.path, key_of(w, k),
+                                   static_cast<coll::OverlapMode>((w + k) % 5));
         }
       });
     }
@@ -352,9 +358,8 @@ TEST(TuningCache, ConcurrentWritersOfDistinctKeysLoseNothing) {
   for (int w = 0; w < kWriters; ++w) {
     for (int k = 0; k < kKeysPerWriter; ++k) {
       coll::OverlapMode m{};
-      ASSERT_TRUE(coll::TuningCache::lookup(
-          f.path, "w" + std::to_string(w) + "/k" + std::to_string(k), m))
-          << "w" << w << "/k" << k;
+      ASSERT_TRUE(coll::TuningCache::lookup(f.path, key_of(w, k), m))
+          << key_of(w, k);
       EXPECT_EQ(m, static_cast<coll::OverlapMode>((w + k) % 5));
     }
   }

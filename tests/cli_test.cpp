@@ -152,21 +152,24 @@ TEST(Cli, EndToEndTinyRun) {
 TEST(Cli, RejectsSubCommsBeyondTheJob) {
   EXPECT_TRUE(parse({"--procs", "8", "--sub-comms", "8"}).error.empty());
   const auto cfg = parse({"--procs", "8", "--sub-comms", "9"});
-  EXPECT_NE(cfg.error.find("--sub-comms 9"), std::string::npos) << cfg.error;
+  EXPECT_NE(cfg.error.find("Options::sub_comm_count = 9"), std::string::npos)
+      << cfg.error;
   // tpio_sweep checks its grid's smallest job the same way.
-  coll::Options o;
-  o.sub_comm_count = 32;
-  const xp::Platform ibex = xp::scaled(xp::ibex());
-  EXPECT_NE(xp::job_options_error(o, ibex, 16, 1), "");
-  o.sub_comm_count = 16;
-  EXPECT_EQ(xp::job_options_error(o, ibex, 16, 1), "");
+  xp::RunSpec spec;
+  spec.platform = xp::scaled(xp::ibex());
+  spec.nprocs = 16;
+  spec.options.sub_comm_count = 32;
+  EXPECT_NE(xp::spec_error(spec), "");
+  spec.options.sub_comm_count = 16;
+  EXPECT_EQ(xp::spec_error(spec), "");
 }
 
 TEST(Cli, RejectsStragglerTargetsBeyondTheMachine) {
   // ibex: a fixed external system of 16 targets.
   EXPECT_TRUE(parse({"--straggler-targets", "16"}).error.empty());
   auto cfg = parse({"--straggler-targets", "17"});
-  EXPECT_NE(cfg.error.find("--straggler-targets 17"), std::string::npos)
+  EXPECT_NE(cfg.error.find("FaultParams::straggler_targets = 17"),
+            std::string::npos)
       << cfg.error;
   // crill: one target per node, so 16 procs (2 nodes of 12) see 2 targets
   // and three such tenants see 6.
@@ -181,7 +184,32 @@ TEST(Cli, RejectsStragglerTargetsBeyondTheMachine) {
                      "--straggler-targets", "6"})
                   .error.empty());
   // tpio_sweep passes its scaled platform with the fault scenario.
-  xp::Platform ibex = xp::scaled(xp::ibex());
-  ibex.pfs.faults.straggler_targets = 500;
-  EXPECT_NE(xp::job_options_error(coll::Options{}, ibex, 16, 1), "");
+  xp::RunSpec spec;
+  spec.platform = xp::scaled(xp::ibex());
+  spec.platform.pfs.faults.straggler_targets = 500;
+  spec.nprocs = 16;
+  EXPECT_NE(xp::spec_error(spec), "");
+}
+
+TEST(Cli, RejectsWhatThePlanCannotPlace) {
+  // Scaled ibex holds 16 procs as nodes of 10 and 6: 16 aggregators put 8
+  // on the 6-rank node.
+  auto cfg = parse({"--procs", "16", "--aggregators", "16"});
+  EXPECT_NE(cfg.error.find("Options::num_aggregators = 16"), std::string::npos)
+      << cfg.error;
+  EXPECT_TRUE(parse({"--procs", "16", "--aggregators", "12"}).error.empty());
+  // The whole job fits 4 aggregators; sub-communicator 1 of 3 (ranks 6-10)
+  // holds 4 ranks on one node and 1 on the next, so it does not.
+  cfg = parse({"--procs", "16", "--sub-comms", "3", "--aggregators", "4"});
+  EXPECT_NE(cfg.error.find("sub-communicator 1 of 3"), std::string::npos)
+      << cfg.error;
+  cfg = parse({"--procs", "16", "--tenants", "2", "--aggregators", "16"});
+  EXPECT_NE(cfg.error.find("Options::num_aggregators = 16"), std::string::npos)
+      << cfg.error;
+  // A one-byte collective buffer has no half to give each sub-buffer.
+  cfg = parse({"--procs", "16", "--cb", "1", "--overlap", "auto"});
+  EXPECT_NE(cfg.error.find("Options::cb_size = 1"), std::string::npos)
+      << cfg.error;
+  EXPECT_TRUE(parse({"--procs", "16", "--cb", "1", "--overlap", "none"})
+                  .error.empty());
 }

@@ -27,19 +27,7 @@ namespace {
 // tenant's turnaround across reps plus its interference accounting; the
 // first rep also runs each tenant solo to report slowdown factors.
 int run_multi(const xp::CliConfig& cfg) {
-  xp::MultiRunSpec ms;
-  ms.tenants.assign(static_cast<std::size_t>(cfg.tenants), cfg.spec);
-  for (int t = 1; t < cfg.tenants; ++t) {
-    ms.tenants[static_cast<std::size_t>(t)].options.overlap =
-        coll::OverlapMode::None;
-  }
-  ms.arrival = cfg.arrival;
-  ms.qos = cfg.qos;
-  if (cfg.qos == tpio::pfs::QosPolicy::Priority) {
-    // The measured tenant rides the top class; neighbors are best-effort.
-    ms.priorities.assign(static_cast<std::size_t>(cfg.tenants), 0);
-    ms.priorities[0] = 1;
-  }
+  xp::MultiRunSpec ms = xp::cli_multi_spec(cfg);
 
   std::printf("tenants=%d arrival=%s qos=%s (tenant 0 measured, %d "
               "no-overlap background writer%s)\n",

@@ -206,25 +206,30 @@ int main(int argc, char** argv) {
   // resume from a healthy checkpoint (or vice versa).
   plat.pfs.faults = faults;
 
-  // Reject what no grid job can run before the CSV header: the checks see
-  // the scaled platform the sweep runs and the grid's smallest job. The
-  // sweep selects aggregators automatically, so the job size does not
-  // enter the lane check.
-  const xp::Platform run_plat = xp::scaled(plat);
-  const int smallest = xp::paper_proc_counts(quick).front();
-  for (const std::string& err :
-       {xp::lane_options_error(base, run_plat.procs_per_node, /*nprocs=*/0),
-        xp::job_options_error(base, run_plat, smallest,
-                              static_cast<int>(tenants))}) {
-    if (!err.empty()) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      return 2;
-    }
+  // Reject what no grid job can run before any output: spec_error sees
+  // the scaled platform the sweep runs and the grid's smallest job, shaped
+  // like a contended cell under --tenants.
+  xp::RunSpec smallest;
+  smallest.platform = xp::scaled(plat);
+  smallest.nprocs = xp::paper_proc_counts(quick).front();
+  smallest.options = base;
+  smallest.options.cb_size = xp::kCbSize;
+  xp::MultiRunSpec grid;
+  grid.tenants.assign(static_cast<std::size_t>(tenants), smallest);
+  if (tenants > 1) {
+    grid.arrival = tenancy.arrival;
+    grid.qos = tenancy.qos;
+  }
+  const std::string error = xp::spec_error(grid);
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s\n", error.c_str());
+    return 2;
   }
 
   // The executor refuses stale --resume checkpoints (and other invariant
   // violations) by throwing; report those as a clean CLI error, not an
-  // uncaught-exception abort.
+  // uncaught-exception abort. Each header follows its sweep, so a refusal
+  // leaves stdout empty.
   try {
     if (tenants > 1) {
       if (primitives) {
@@ -234,10 +239,10 @@ int main(int argc, char** argv) {
         return 2;
       }
       tenancy.neighbors = static_cast<int>(tenants) - 1;
+      const auto rows = xp::run_contended_sweep(
+          plat, base, tenancy, static_cast<int>(reps), 0xC57, quick, exec);
       std::puts("platform,benchmark,size,procs,overlap,min_ms");
-      for (const auto& s : xp::run_contended_sweep(
-               plat, base, tenancy, static_cast<int>(reps), 0xC57, quick,
-               exec)) {
+      for (const auto& s : rows) {
         for (const auto& [m, ms] : s.min_ms) {
           std::printf("%s,%s,%s,%d,%s,%.6f\n", s.platform.c_str(),
                       wl::to_string(s.kind), s.size_label.c_str(), s.procs,
@@ -245,9 +250,10 @@ int main(int argc, char** argv) {
         }
       }
     } else if (primitives) {
+      const auto rows = xp::run_primitive_sweep(
+          plat, base, static_cast<int>(reps), 0xC57, quick, exec);
       std::puts("platform,benchmark,size,procs,transfer,min_ms");
-      for (const auto& s : xp::run_primitive_sweep(
-               plat, base, static_cast<int>(reps), 0xC57, quick, exec)) {
+      for (const auto& s : rows) {
         for (const auto& [t, ms] : s.min_ms) {
           std::printf("%s,%s,%s,%d,%s,%.6f\n", s.platform.c_str(),
                       wl::to_string(s.kind), s.size_label.c_str(), s.procs,
@@ -255,10 +261,11 @@ int main(int argc, char** argv) {
         }
       }
     } else {
+      const auto rows =
+          xp::run_overlap_sweep(plat, base, static_cast<int>(reps), 0xC57,
+                                quick, exec, include_auto);
       std::puts("platform,benchmark,size,procs,overlap,min_ms");
-      for (const auto& s :
-           xp::run_overlap_sweep(plat, base, static_cast<int>(reps), 0xC57,
-                                 quick, exec, include_auto)) {
+      for (const auto& s : rows) {
         for (const auto& [m, ms] : s.min_ms) {
           std::printf("%s,%s,%s,%d,%s,%.6f\n", s.platform.c_str(),
                       wl::to_string(s.kind), s.size_label.c_str(), s.procs,
